@@ -804,8 +804,11 @@ func (s *Session) readerLoop(conn net.Conn, gen int64, replies chan inFrame) {
 			return
 		}
 		if t == FrameErrorMsg {
-			conn.Close()
+			// Record the server's verdict before closing: the close
+			// makes a concurrent sender fail its write, and whichever
+			// error reaches fail first is the one the session keeps.
 			s.fail(wireErr(payload))
+			conn.Close()
 			return
 		}
 		select {
@@ -943,19 +946,34 @@ func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) 
 	}
 	// An already-delivered reply wins over a concurrent connection
 	// teardown: the server may legally close right after replying (a
-	// CloseOK followed by its end of stream).
+	// CloseOK followed by its end of stream). The reader delivers the
+	// reply before it reports the end of stream, so a teardown observed
+	// here still finds that reply in the channel; re-check it rather
+	// than let select pick between two ready cases at random.
 	var r inFrame
-	select {
-	case r = <-replies:
-	default:
+	delivered := func() bool {
+		select {
+		case r = <-replies:
+			return true
+		default:
+			return false
+		}
+	}
+	if !delivered() {
 		select {
 		case r = <-replies:
 		case <-gd:
+			if delivered() {
+				break
+			}
 			if err := s.Err(); err != nil {
 				return inFrame{}, err
 			}
 			return inFrame{}, ErrResumed
 		case <-s.dead:
+			if delivered() {
+				break
+			}
 			return inFrame{}, s.Err()
 		case <-timeout:
 			err := fmt.Errorf("client: timed out after %v waiting for frame %d", s.cfg.readTimeout, want)

@@ -139,14 +139,10 @@ func (d *Detector) Compact(dead []int32) CompactStats {
 			}
 		}
 	}
-	for x := range d.r {
-		compactVar(&d.w[x], &d.r[x], &d.shared)
-	}
-	d.shared.compactSlab()
 	for i := range d.stripes {
 		s := &d.stripes[i]
-		for slot := range s.tab.keys {
-			if s.tab.meta[slot]&slotUsed != 0 {
+		for slot := range s.tab.w {
+			if s.tab.live(slot) {
 				compactVar(&s.tab.w[slot], &s.tab.r[slot], &s.shared)
 			}
 		}

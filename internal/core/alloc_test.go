@@ -112,14 +112,14 @@ func TestReadShareRecyclesStoreSlots(t *testing.T) {
 		ev(trace.Acq(0, 2)) // thread 0 absorbs thread 1's read
 	}
 	cycle()
-	if len(d.shared.regions) != 1 {
-		t.Fatalf("after first promotion: %d store slots, want 1", len(d.shared.regions))
+	if len(d.stripes[0].shared.regions) != 1 {
+		t.Fatalf("after first promotion: %d store slots, want 1", len(d.stripes[0].shared.regions))
 	}
 	for n := 0; n < 50; n++ {
 		cycle()
 	}
-	if len(d.shared.regions) != 1 {
-		t.Fatalf("after 51 promote/demote cycles: %d store slots, want 1 (slot not recycled)", len(d.shared.regions))
+	if len(d.stripes[0].shared.regions) != 1 {
+		t.Fatalf("after 51 promote/demote cycles: %d store slots, want 1 (slot not recycled)", len(d.stripes[0].shared.regions))
 	}
 	if err := d.CheckWellFormed(); err != nil {
 		t.Fatalf("well-formedness after recycling: %v", err)
@@ -127,9 +127,9 @@ func TestReadShareRecyclesStoreSlots(t *testing.T) {
 	if got := len(d.Races()); got != 0 {
 		t.Fatalf("%d races on a synchronized trace", got)
 	}
-	if d.st.ReadShare != 51 || d.st.WriteShared != 50 {
+	if d.stripes[0].st.ReadShare != 51 || d.stripes[0].st.WriteShared != 50 {
 		t.Fatalf("rule counts: ReadShare %d, WriteShared %d, want 51 and 50",
-			d.st.ReadShare, d.st.WriteShared)
+			d.stripes[0].st.ReadShare, d.stripes[0].st.WriteShared)
 	}
 }
 

@@ -36,7 +36,7 @@ const budgetCheckInterval = 1024
 // degrading precision, never by aborting; see Stats.MemSqueezes and
 // Stats.MemCoarse for how often each rung fired.
 func (d *Detector) SetMemoryBudget(bytes int64) {
-	if bytes > 0 && d.stripes != nil {
+	if bytes > 0 && len(d.stripes) > 1 {
 		// The coarse fallback remaps variable ids, which would move
 		// variables across stripes behind the stripe locks' back.
 		panic("core: memory budget is incompatible with sharding")
@@ -46,9 +46,10 @@ func (d *Detector) SetMemoryBudget(bytes int64) {
 
 // budgetAccess remaps an accessed variable under the budget's coarse
 // fallback and periodically re-checks the footprint. Called from the
-// read/write handlers only when a budget is set.
+// read/write handlers only when a budget is set, which implies the
+// serial layout's one stripe.
 func (d *Detector) budgetAccess(x uint64) uint64 {
-	if (d.st.Reads+d.st.Writes)%budgetCheckInterval == 0 {
+	if st := &d.serial[0].st; (st.Reads+st.Writes)%budgetCheckInterval == 0 {
 		d.enforceBudget()
 	}
 	if mapped := d.budgetVar(x); mapped != x {
@@ -76,18 +77,18 @@ func (d *Detector) enforceBudget() {
 	// Rung 1: squeeze read vector clocks back to epochs and shed slack.
 	// The store slots are discarded, not released, and the slab repacked:
 	// the point is to give the memory back to the allocator, not keep it
-	// pooled.
-	for x := range d.r {
-		rx := d.r[x]
+	// pooled. The budget implies the serial layout's one stripe.
+	s := &d.serial[0]
+	for x, rx := range s.tab.r {
 		if !isShared(rx) {
 			continue
 		}
 		idx := sharedIdx(rx)
-		d.r[x] = squeezeEpoch(d.shared.vcAt(idx))
-		d.shared.discard(idx)
+		s.tab.r[x] = squeezeEpoch(s.shared.vcAt(idx))
+		s.shared.discard(idx)
 		d.st.MemSqueezes++
 	}
-	d.shared.compactSlab()
+	s.shared.compactSlab()
 	for i := range d.threads {
 		if d.threads[i].c != nil {
 			d.threads[i].c = d.threads[i].c.Trim()
@@ -100,7 +101,7 @@ func (d *Detector) enforceBudget() {
 	// Rung 2: fold locations not yet shadowed into coarse shadow
 	// locations. Locations below coarseFrom keep their precise state.
 	if d.coarseFrom == 0 {
-		d.coarseFrom = uint64(len(d.r))
+		d.coarseFrom = uint64(len(s.tab.r))
 		if d.coarseFrom == 0 {
 			d.coarseFrom = 1
 		}

@@ -52,16 +52,16 @@ func TestMemoryBudgetBoundsNewGrowth(t *testing.T) {
 	// shadow slots, so the var table grows FieldsPerObject times slower.
 	d.HandleEvent(i, trace.Wr(0, 100000))
 	i++
-	before := len(d.r)
+	before := len(d.stripes[0].tab.r)
 	for x := 1; x < 8000; x++ {
 		d.HandleEvent(i, trace.Wr(0, uint64(100000+x)))
 		i++
 	}
 	st := d.Stats()
 	if st.MemCoarse == 0 {
-		t.Fatalf("coarse fallback never fired (footprint %d, %d vars)", d.footprint(), len(d.r))
+		t.Fatalf("coarse fallback never fired (footprint %d, %d vars)", d.footprint(), len(d.stripes[0].tab.r))
 	}
-	grew := len(d.r) - before
+	grew := len(d.stripes[0].tab.r) - before
 	if grew > 8000/rr.FieldsPerObject+1 {
 		t.Fatalf("var table grew by %d for 8000 fresh locations; coarse fallback not bounding growth", grew)
 	}

@@ -80,7 +80,7 @@ func TestChanBufferedReverseEdgeAtCapacity(t *testing.T) {
 	const x, ch = 0, 1
 	d := run(t, trace.Trace{
 		trace.ChSend(0, ch, 1),
-		trace.Wr(1, x),         // before the receive, so recv 1's clock covers it
+		trace.Wr(1, x), // before the receive, so recv 1's clock covers it
 		trace.ChRecv(1, ch, 1),
 		trace.ChSend(0, ch, 1), // send 2, cap 1: joins recv 1's clock
 		trace.Wr(0, x),

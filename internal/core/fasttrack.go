@@ -17,15 +17,20 @@
 // common case, with no loss of precision (Theorem 1).
 //
 // Shadow-state layout (DESIGN.md §13): the per-variable history is
-// stored struct-of-arrays. The write and read epochs live in dense
-// parallel w[]/r[] arrays — eight variables per cache line — so the
-// same-epoch fast path (>96% of accesses in the paper's workloads)
-// loads exactly one shadow word. Everything cold (read vector clocks,
-// race flags, detailed-mode indices, provenance records) lives in side
-// tables consulted only on the slow paths. A read-shared variable's r[]
-// entry carries a tag (thread-id field all ones) whose low bits index
-// the detector's read-VC store, so promotion costs no extra lookup
-// structure and demotion recycles the backing array in place.
+// stored struct-of-arrays in stripes (shard.go). The write and read
+// epochs live in parallel w[]/r[] arrays — eight variables per cache
+// line — so the same-epoch fast path (>96% of accesses in the paper's
+// workloads) loads exactly one shadow word. Everything cold (read vector
+// clocks, race flags, detailed-mode indices, provenance records) lives
+// in side tables consulted only on the slow paths. A read-shared
+// variable's r[] entry carries a tag (thread-id field all ones) whose
+// low bits index the stripe's read-VC store, so promotion costs no extra
+// lookup structure and demotion recycles the backing array in place.
+//
+// A serial detector has one stripe whose slot is the variable id; a
+// sharded one hashes each variable into one of n stripes. The read and
+// write handlers pick the stripe, resolve the slot and then run each
+// Figure 5 rule once against (stripe, slot), whichever the layout.
 package core
 
 import (
@@ -65,8 +70,8 @@ func sharedTag(idx int) vc.Epoch { return sharedTagBase | vc.Epoch(idx) }
 // allocates only when the store has never been this large; discarding
 // (budget squeeze, accordion compaction) forgets the region, and
 // compactSlab repacks the survivors so the memory actually returns to
-// the allocator. Serial detectors own one store; in sharded mode each
-// stripe owns its own, preserving stripe confinement.
+// the allocator. Each stripe owns its own store, preserving stripe
+// confinement under sharding.
 type rvcStore struct {
 	clocks  []vc.Clock  // flat slab of every slot's components
 	regions []rvcRegion // slot -> region in clocks
@@ -97,8 +102,9 @@ func (rs *rvcStore) get(idx int, t vc.Tid) vc.Clock {
 
 // set updates component t of slot idx in place. The region grows
 // (rarely: only when threads were created after the promotion) by
-// re-carving at the slab's end. The [FT READ SHARED] rule in readSlow
-// open-codes the in-bounds store and only calls here to grow.
+// re-carving at the slab's end. The [FT READ SHARED] rule in
+// Detector.read open-codes the in-bounds store and only calls here to
+// grow.
 func (rs *rvcStore) set(idx int, t vc.Tid, c vc.Clock) {
 	if int32(t) >= rs.regions[idx].width {
 		rs.growSlot(idx, int(t)+1)
@@ -215,14 +221,6 @@ type Detector struct {
 	// exclusion, so sharded detectors share this table like locks.
 	chans map[uint64]*chanState
 
-	// Serial struct-of-arrays variable tables: W and R epochs indexed by
-	// variable id (hot), the per-variable race flags as a bitset, and
-	// the read-VC side store (cold). Sharded detectors leave these empty
-	// and use the per-stripe tables instead (see shard.go).
-	w, r    []vc.Epoch
-	flagged []uint64
-	shared  rvcStore
-
 	// pool recycles vector-clock backing arrays across the allocation
 	// sites that run under full exclusion (lock/volatile
 	// materialization, barrier joins, thread creation); the reclamation
@@ -232,12 +230,11 @@ type Detector struct {
 	// Detailed error reporting (the "more precise error reporting" of
 	// the paper's Section 4 implementation notes): when enabled, the
 	// detector additionally tracks the event index of each variable's
-	// most recent non-redundant read and write, so race reports carry
-	// PrevIndex — the position of the prior racing access. Costs two
-	// extra words per variable and one store per slow-path access.
-	detailed     bool
-	lastWriteIdx []int
-	lastReadIdx  []int
+	// most recent non-redundant read and write in the variable's cold
+	// entry, so race reports carry PrevIndex — the position of the prior
+	// racing access. Costs one cold entry per variable and one store per
+	// slow-path access.
+	detailed bool
 
 	// Memory budget (see budget.go): when budget > 0 the detector keeps
 	// its shadow footprint under budget bytes by degrading precision —
@@ -257,12 +254,6 @@ type Detector struct {
 	// re-checked here (see the rule-frequency tests).
 	extendedSameEpoch bool
 
-	// stripes, when non-nil, holds the per-stripe variable tables, access
-	// counters and race lists used under the sharded Monitor's
-	// stripe-locking discipline (see shard.go and rr.ShardedTool). Serial
-	// detectors leave it nil and use the dense tables above.
-	stripes []stripeState
-
 	// sampleThr is the sampling-tier threshold (see sampling.go): an
 	// access to x is analyzed iff sampleHash(x) < sampleThr. The default
 	// sampleFull (1<<32) is unreachable by the 32-bit hash, so full
@@ -274,8 +265,19 @@ type Detector struct {
 	// pay only this nil check.
 	prov *provState
 
-	races []rr.Report
-	st    rr.Stats
+	// stripes holds the variable tables, read-VC stores, access counters
+	// and race lists (see shard.go): a view of serial for a serial
+	// detector, or one hashed stripe per lock under the sharded Monitor's
+	// stripe-locking discipline (rr.ShardedTool).
+	stripes []stripeState
+	// serial is the serial layout's one dense stripe, embedded so that
+	// the access handlers reach it at a fixed offset from d instead of
+	// through one more dependent load.
+	serial [1]stripeState
+
+	// st counts everything but accesses, whose counters live on the
+	// stripes; Stats merges the two.
+	st rr.Stats
 
 	// raceSnap caches the merged, index-sorted view of the stripe race
 	// lists; raceSnapN is the total race count it was built from. Stripe
@@ -295,15 +297,16 @@ var (
 // New returns a detector expecting roughly the given numbers of threads
 // and variables (hints only; both grow on demand).
 func New(threadHint, varHint int) *Detector {
-	d := &Detector{
-		sampleThr: sampleFull,
-	}
+	d := &Detector{sampleThr: sampleFull}
+	d.stripes = d.serial[:]
+	tb := &d.serial[0].tab
+	tb.dense = true
 	if threadHint > 0 {
 		d.threads = make([]threadState, 0, threadHint)
 	}
 	if varHint > 0 {
-		d.w = make([]vc.Epoch, 0, varHint)
-		d.r = make([]vc.Epoch, 0, varHint)
+		tb.w = make([]vc.Epoch, 0, varHint)
+		tb.r = make([]vc.Epoch, 0, varHint)
 	}
 	return d
 }
@@ -318,13 +321,7 @@ func (d *Detector) EnableExtendedSameEpoch() { d.extendedSameEpoch = true }
 // EnableDetailedReports turns on per-variable access-history tracking so
 // subsequent race reports carry PrevIndex. Accesses processed before the
 // call have no history (their PrevIndex would report -1).
-func (d *Detector) EnableDetailedReports() {
-	d.detailed = true
-	for len(d.lastWriteIdx) < len(d.r) {
-		d.lastWriteIdx = append(d.lastWriteIdx, -1)
-		d.lastReadIdx = append(d.lastReadIdx, -1)
-	}
-}
+func (d *Detector) EnableDetailedReports() { d.detailed = true }
 
 // thread returns the state of thread t, initializing C_t = inc_t(⊥V)
 // on first use (the initial analysis state σ0 of Section 3).
@@ -336,65 +333,6 @@ func (d *Detector) thread(t int32) *threadState {
 		d.threads = append(d.threads, threadState{c: cv, epoch: cv.Epoch(u)})
 	}
 	return &d.threads[t]
-}
-
-// growVars extends the dense serial tables so variable x is valid.
-// Fresh variables have R = W = ⊥e (the zero epoch) and a clear flag.
-// Growth doubles explicitly rather than relying on append: the runtime's
-// large-slice growth factor (~1.25x) re-copies a multi-megabyte table
-// dozens of times during a rapid-allocation phase, and per-element
-// appends pay that for w and r separately. make zeroes the whole
-// capacity and the tables never shrink, so extending within capacity is
-// a pure reslice — fresh variables are born ⊥e for free.
-func (d *Detector) growVars(x uint64) {
-	n := int(x) + 1
-	d.w = growEpochs(d.w, n)
-	d.r = growEpochs(d.r, n)
-	if d.detailed {
-		for len(d.lastWriteIdx) < n {
-			d.lastWriteIdx = append(d.lastWriteIdx, -1)
-			d.lastReadIdx = append(d.lastReadIdx, -1)
-		}
-	}
-	if nw := (n + 63) >> 6; len(d.flagged) < nw {
-		if nw <= cap(d.flagged) {
-			d.flagged = d.flagged[:nw]
-		} else {
-			c := 2 * cap(d.flagged)
-			if c < 16 {
-				c = 16
-			}
-			for c < nw {
-				c *= 2
-			}
-			nf := make([]uint64, nw, c)
-			copy(nf, d.flagged)
-			d.flagged = nf
-		}
-	}
-}
-
-// growEpochs extends es to length n, doubling capacity as needed.
-func growEpochs(es []vc.Epoch, n int) []vc.Epoch {
-	if n <= cap(es) {
-		return es[:n]
-	}
-	c := 2 * cap(es)
-	if c < 64 {
-		c = 64
-	}
-	for c < n {
-		c *= 2
-	}
-	ns := make([]vc.Epoch, n, c)
-	copy(ns, es)
-	return ns
-}
-
-// flagBit reports whether variable x is flagged (serial layout).
-func (d *Detector) flagBit(x uint64) bool {
-	w := x >> 6
-	return w < uint64(len(d.flagged)) && d.flagged[w]&(1<<(x&63)) != 0
 }
 
 // refreshEpoch re-caches E(t) after C_t(t) changed.
@@ -426,57 +364,39 @@ func (d *Detector) incThread(ts *threadState, t vc.Tid) {
 	ts.refreshEpoch(t)
 }
 
-// report records a warning, at most one per variable, into the
-// detector's race list in serial mode or the variable's stripe in
-// sharded mode (s/slot identify the stripe slot then; s is nil in
-// serial mode and x is the dense index). w and r are the variable's
-// pre-update history, rs the active read-VC store — the enricher needs
-// them because the caller overwrites the history right after.
-func (d *Detector) report(i int, x uint64, s *stripeState, slot int, w, r vc.Epoch, rs *rvcStore, ts *threadState, kind rr.RaceKind, tid int32, prev vc.Tid) {
+// report records a warning, at most one per variable, into the race list
+// of the variable's stripe s (slot identifies the variable there). w and
+// r are the variable's pre-update history — the enricher needs them
+// because the caller overwrites the history right after.
+func (d *Detector) report(i int, s *stripeState, slot int, w, r vc.Epoch, ts *threadState, kind rr.RaceKind, tid int32, prev vc.Tid) {
+	if s.tab.isFlagged(slot) {
+		return
+	}
+	s.tab.flag(slot)
 	prevIdx := -1
-	races := &d.races
-	if s != nil {
-		if s.tab.meta[slot]&slotFlagged != 0 {
-			return
-		}
-		s.tab.meta[slot] |= slotFlagged
-		races = &s.races
-		if d.detailed {
-			if c := s.tab.coldOf(slot); c != nil {
-				if kind == rr.ReadWrite {
-					prevIdx = c.lastR
-				} else {
-					prevIdx = c.lastW
-				}
-			}
-		}
-	} else {
-		if d.flagBit(x) {
-			return
-		}
-		d.flagged[x>>6] |= 1 << (x & 63)
-		if d.detailed {
+	if d.detailed {
+		if c := s.tab.coldOf(slot); c != nil {
 			if kind == rr.ReadWrite {
-				prevIdx = d.lastReadIdx[x]
+				prevIdx = c.r.idx
 			} else {
-				prevIdx = d.lastWriteIdx[x]
+				prevIdx = c.w.idx
 			}
 		}
 	}
 	rep := rr.Report{
-		Var: x, Kind: kind, Tid: tid, PrevTid: int32(prev), Index: i, PrevIndex: prevIdx,
+		Var: s.tab.key(slot), Kind: kind, Tid: tid, PrevTid: int32(prev), Index: i, PrevIndex: prevIdx,
 	}
-	*races = append(*races, rep)
+	s.races = append(s.races, rep)
 	if d.prov != nil {
-		d.enrich(rep, w, r, rs, s, slot, ts)
+		d.enrich(rep, w, r, s, slot, ts)
 	}
 }
 
 // HandleEvent implements rr.Tool. Accesses are handled entirely inside
-// read/write (including the Events count), because in sharded mode every
-// counter an access touches must live on the variable's stripe; all
-// other kinds are delivered under full exclusion and use the detector's
-// own counters.
+// read/write (including the Events count), because every counter an
+// access touches lives on the variable's stripe — under sharding only
+// that stripe's lock is held; all other kinds are delivered under full
+// exclusion and use the detector's own counters.
 func (d *Detector) HandleEvent(i int, e trace.Event) {
 	switch e.Kind {
 	case trace.Read:
@@ -550,116 +470,59 @@ func (d *Detector) HandleFilter(i int, e trace.Event) bool {
 }
 
 // flaggedOf reports whether a race has already been recorded on variable
-// x, without materializing shadow state in either layout.
+// x, without materializing shadow state.
 func (d *Detector) flaggedOf(x uint64) bool {
-	if d.stripes != nil {
-		s := d.stripeOf(x)
-		if slot := s.tab.find(x); slot >= 0 {
-			return s.tab.meta[slot]&slotFlagged != 0
-		}
-		return false
-	}
-	return d.flagBit(x)
+	s := d.stripeOf(x)
+	slot := s.tab.find(x)
+	return slot >= 0 && s.tab.isFlagged(slot)
 }
 
 // read implements the four read rules of Figure 2 / the read handler of
-// Figure 5. countEvent distinguishes the Tool path (which counts the
-// event) from the Prefilter path (which historically does not). The
-// serial body is the zero-allocation fast path: counters, then a single
-// r[] load against the thread's cached epoch; everything else defers to
-// readSlow.
+// Figure 5, for both layouts. countEvent distinguishes the Tool path
+// (which counts the event) from the Prefilter path (which historically
+// does not). Everything it mutates is confined to x's stripe, so under
+// sharding it is safe under that stripe's lock; thread state is only
+// read there (the sharded Monitor's watermark guarantees the thread is
+// materialized). The rules stay inline: the same-epoch path is one slot
+// resolution and one r[] load against the thread's cached epoch, and the
+// rest pays no extra call.
 func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
-	if d.stripes != nil {
-		d.readSharded(i, tid, x, countEvent)
-		return
-	}
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(x, true, countEvent)
-		return
-	}
-	d.st.Reads++
+	s := d.stripeOf(x)
+	s.st.Reads++
 	if countEvent {
-		d.st.Events++
+		s.st.Events++
 	}
-	if d.budget > 0 {
-		x = d.budgetAccess(x)
+	if d.sampledOut(x) {
+		s.st.SampledOut++
+		return
 	}
-	if x >= uint64(len(d.r)) {
-		d.growVars(x)
-	}
-	if int(tid) >= len(d.threads) {
-		d.thread(tid)
+	slot := int(x)
+	if !s.tab.dense || d.budget > 0 || int(tid) >= len(d.threads) {
+		slot = d.resolve(s, x, tid)
+	} else if x >= uint64(len(s.tab.r)) {
+		s.tab.growDense(slot + 1)
 	}
 	// [FT READ SAME EPOCH] — 63.4% of reads in the paper's benchmarks.
 	ts := &d.threads[tid]
-	r := d.r[x]
+	r := s.tab.r[slot]
 	if r == ts.epoch {
-		d.st.ReadSameEpoch++
+		s.st.ReadSameEpoch++
 		return
 	}
-	// The remaining rules, open-coded for the serial layout (no extra
-	// call on the non-fast-path reads). Mirrors readSlow, which serves
-	// the sharded layout; the serial/sharded equivalence property tests
-	// keep the two in lockstep.
 	t := vc.Tid(tid)
-	rs := &d.shared
+	rs := &s.shared
 	// Extended rule (optional): same-epoch read of read-shared data.
 	if d.extendedSameEpoch && isShared(r) && rs.get(sharedIdx(r), t) == ts.c.Get(t) {
-		d.st.ReadSameEpoch++
+		s.st.ReadSameEpoch++
 		return
 	}
 	// Write-read race check: W_x ⊑ C_t.
-	w := d.w[x]
+	w := s.tab.w[slot]
 	if !w.LEq(ts.c) {
-		d.report(i, x, nil, 0, w, r, rs, ts, rr.WriteRead, tid, w.Tid())
+		d.report(i, s, slot, w, r, ts, rr.WriteRead, tid, w.Tid())
 	}
 	if d.detailed {
-		d.noteRead(i, x, nil, 0, tid, ts)
-	}
-	switch {
-	case isShared(r):
-		// [FT READ SHARED] — one word store into the slab.
-		idx := sharedIdx(r)
-		if g := rs.regions[idx]; int32(t) < g.width {
-			rs.clocks[g.off+int32(t)] = ts.c.Get(t)
-		} else {
-			rs.set(idx, t, ts.c.Get(t))
-		}
-		d.st.ReadShared++
-	case r.LEq(ts.c):
-		// [FT READ EXCLUSIVE].
-		d.r[x] = ts.epoch
-		d.st.ReadExclusive++
-	default:
-		// [FT READ SHARE] — inflate to a vector clock.
-		idx := rs.promote(len(d.threads), r.Tid(), r.Clock(), t, ts.c.Get(t))
-		d.st.VCAlloc++
-		d.r[x] = sharedTag(idx)
-		d.st.ReadShare++
-	}
-}
-
-// readSlow runs the remaining read rules against the variable's
-// history. wp/rp point into the active layout's epoch arrays and rs is
-// that layout's read-VC store; s/slot identify the sharded slot (s nil
-// in serial mode). In sharded mode everything it mutates is confined to
-// x's stripe, so it is safe under that stripe's lock.
-func (d *Detector) readSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rvcStore, st *rr.Stats, s *stripeState, slot int) {
-	ts := &d.threads[tid]
-	t := vc.Tid(tid)
-	r := *rp
-	// Extended rule (optional): same-epoch read of read-shared data.
-	if d.extendedSameEpoch && isShared(r) && rs.get(sharedIdx(r), t) == ts.c.Get(t) {
-		st.ReadSameEpoch++
-		return
-	}
-	// Write-read race check: W_x � C_t.
-	w := *wp
-	if !w.LEq(ts.c) {
-		d.report(i, x, s, slot, w, r, rs, ts, rr.WriteRead, tid, w.Tid())
-	}
-	if d.detailed {
-		d.noteRead(i, x, s, slot, tid, ts)
+		d.note(s, slot, false, i, tid, ts)
 	}
 	switch {
 	case isShared(r):
@@ -673,104 +536,77 @@ func (d *Detector) readSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rv
 		} else {
 			rs.set(idx, t, ts.c.Get(t))
 		}
-		st.ReadShared++
+		s.st.ReadShared++
 	case r.LEq(ts.c):
 		// [FT READ EXCLUSIVE] — reads still totally ordered.
-		*rp = ts.epoch
-		st.ReadExclusive++
+		s.tab.r[slot] = ts.epoch
+		s.st.ReadExclusive++
 	default:
 		// [FT READ SHARE] — concurrent reads; inflate to a vector clock.
 		// (The slow path of Figure 5: 0.1% of reads.) VCAlloc counts the
 		// logical allocation even when the store recycles a demoted
 		// variable's region — the counter tracks the algorithm's
-		// allocation behavior, not the allocator's, so serial and sharded
-		// layouts report identically.
+		// allocation behavior, not the allocator's.
 		idx := rs.promote(len(d.threads), r.Tid(), r.Clock(), t, ts.c.Get(t))
-		st.VCAlloc++
-		*rp = sharedTag(idx)
-		st.ReadShare++
+		s.st.VCAlloc++
+		s.tab.r[slot] = sharedTag(idx)
+		s.st.ReadShare++
 	}
 }
 
-// write implements the three write rules of Figure 2 / the write handler
-// of Figure 5. See read for the fast-path shape and sharding notes.
-func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
-	if d.stripes != nil {
-		d.writeSharded(i, tid, x, countEvent)
-		return
-	}
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(x, false, countEvent)
-		return
-	}
-	d.st.Writes++
-	if countEvent {
-		d.st.Events++
-	}
+// resolve is the access handlers' out-of-line slot resolution for a
+// hashed stripe, a memory budget or a thread's first access: the budget's
+// coarse remap (serial only, so the remapped variable stays on stripe s),
+// the thread's materialization, and the table lookup. The handlers
+// resolve the common dense case themselves, keeping the fast path
+// call-free.
+func (d *Detector) resolve(s *stripeState, x uint64, tid int32) int {
 	if d.budget > 0 {
 		x = d.budgetAccess(x)
-	}
-	if x >= uint64(len(d.r)) {
-		d.growVars(x)
 	}
 	if int(tid) >= len(d.threads) {
 		d.thread(tid)
 	}
-	// [FT WRITE SAME EPOCH] — 71.0% of writes.
-	ts := &d.threads[tid]
-	if d.w[x] == ts.epoch {
-		d.st.WriteSameEpoch++
+	return s.tab.lookup(x)
+}
+
+// write implements the three write rules of Figure 2 / the write handler
+// of Figure 5. See read for the layout and confinement notes.
+func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
+	s := d.stripeOf(x)
+	s.st.Writes++
+	if countEvent {
+		s.st.Events++
+	}
+	if d.sampledOut(x) {
+		s.st.SampledOut++
 		return
 	}
-	// Remaining rules, open-coded for the serial layout; mirrors
-	// writeSlow (the sharded path), kept in lockstep by the equivalence
-	// property tests.
-	w, r := d.w[x], d.r[x]
-	rs := &d.shared
+	slot := int(x)
+	if !s.tab.dense || d.budget > 0 || int(tid) >= len(d.threads) {
+		slot = d.resolve(s, x, tid)
+	} else if x >= uint64(len(s.tab.w)) {
+		s.tab.growDense(slot + 1)
+	}
+	// [FT WRITE SAME EPOCH] — 71.0% of writes.
+	ts := &d.threads[tid]
+	w := s.tab.w[slot]
+	if w == ts.epoch {
+		s.st.WriteSameEpoch++
+		return
+	}
+	r := s.tab.r[slot]
 	// Write-write race check: W_x ⊑ C_t.
 	if !w.LEq(ts.c) {
-		d.report(i, x, nil, 0, w, r, rs, ts, rr.WriteWrite, tid, w.Tid())
+		d.report(i, s, slot, w, r, ts, rr.WriteWrite, tid, w.Tid())
 	}
 	if !isShared(r) {
 		// [FT WRITE EXCLUSIVE] — read-write race check against the read
 		// epoch: R_x ⊑ C_t.
 		if !r.LEq(ts.c) {
-			d.report(i, x, nil, 0, w, r, rs, ts, rr.ReadWrite, tid, r.Tid())
+			d.report(i, s, slot, w, r, ts, rr.ReadWrite, tid, r.Tid())
 		}
-		d.st.WriteExclusive++
-	} else {
-		// [FT WRITE SHARED] — full vector compare, then demote.
-		d.st.VCOp++
-		idx := sharedIdx(r)
-		if prev := rs.vcAt(idx).FirstExceeding(ts.c); prev >= 0 {
-			d.report(i, x, nil, 0, w, r, rs, ts, rr.ReadWrite, tid, prev)
-		}
-		rs.release(idx)
-		d.r[x] = vc.Bottom
-		d.st.WriteShared++
-	}
-	if d.detailed {
-		d.noteWrite(i, x, nil, 0, tid, ts)
-	}
-	d.w[x] = ts.epoch
-}
-
-// writeSlow runs the remaining write rules; see readSlow for the
-// parameter and confinement notes.
-func (d *Detector) writeSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rvcStore, st *rr.Stats, s *stripeState, slot int) {
-	ts := &d.threads[tid]
-	w, r := *wp, *rp
-	// Write-write race check: W_x � C_t.
-	if !w.LEq(ts.c) {
-		d.report(i, x, s, slot, w, r, rs, ts, rr.WriteWrite, tid, w.Tid())
-	}
-	if !isShared(r) {
-		// [FT WRITE EXCLUSIVE] — read-write race check against the read
-		// epoch: R_x � C_t.
-		if !r.LEq(ts.c) {
-			d.report(i, x, s, slot, w, r, rs, ts, rr.ReadWrite, tid, r.Tid())
-		}
-		st.WriteExclusive++
+		s.st.WriteExclusive++
 	} else {
 		// [FT WRITE SHARED] — the one slow write path (0.1% of writes):
 		// R_x ⊑ C_t is a full vector-clock comparison. The write then
@@ -778,52 +614,35 @@ func (d *Detector) writeSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *r
 		// to the minimal epoch ⊥e, re-enabling the fast paths; the
 		// vector's backing array goes back to the store for the next
 		// promotion.
-		st.VCOp++
+		s.st.VCOp++
+		rs := &s.shared
 		idx := sharedIdx(r)
 		if prev := rs.vcAt(idx).FirstExceeding(ts.c); prev >= 0 {
-			d.report(i, x, s, slot, w, r, rs, ts, rr.ReadWrite, tid, prev)
+			d.report(i, s, slot, w, r, ts, rr.ReadWrite, tid, prev)
 		}
 		rs.release(idx)
-		*rp = vc.Bottom
-		st.WriteShared++
+		s.tab.r[slot] = vc.Bottom
+		s.st.WriteShared++
 	}
 	if d.detailed {
-		d.noteWrite(i, x, s, slot, tid, ts)
+		d.note(s, slot, true, i, tid, ts)
 	}
-	*wp = ts.epoch
+	s.tab.w[slot] = ts.epoch
 }
 
-// noteRead records the detailed-mode read history (and, when the flight
-// recorder is on, the provenance last-access record) for the layout the
-// access ran under.
-func (d *Detector) noteRead(i int, x uint64, s *stripeState, slot int, tid int32, ts *threadState) {
-	if s != nil {
-		c := s.tab.coldFor(slot)
-		c.lastR = i
-		if d.prov != nil {
-			c.provRec().r.record(tid, i, d.provGenOf(tid), ts.epoch)
-		}
-		return
+// note records a non-redundant access in the read (or, for a write, the
+// write) record of slot's cold entry: always its event index, and the
+// rest of the record while the flight recorder is on.
+func (d *Detector) note(s *stripeState, slot int, write bool, i int, tid int32, ts *threadState) {
+	c := s.tab.coldFor(slot)
+	pa := &c.r
+	if write {
+		pa = &c.w
 	}
-	d.lastReadIdx[x] = i
 	if d.prov != nil {
-		d.provVarSerial(x).r.record(tid, i, d.provGenOf(tid), ts.epoch)
-	}
-}
-
-// noteWrite is noteRead's write-side twin.
-func (d *Detector) noteWrite(i int, x uint64, s *stripeState, slot int, tid int32, ts *threadState) {
-	if s != nil {
-		c := s.tab.coldFor(slot)
-		c.lastW = i
-		if d.prov != nil {
-			c.provRec().w.record(tid, i, d.provGenOf(tid), ts.epoch)
-		}
-		return
-	}
-	d.lastWriteIdx[x] = i
-	if d.prov != nil {
-		d.provVarSerial(x).w.record(tid, i, d.provGenOf(tid), ts.epoch)
+		pa.record(tid, i, d.provGenOf(tid), ts.epoch)
+	} else {
+		pa.idx = i
 	}
 }
 
@@ -924,14 +743,14 @@ func (d *Detector) barrier(tids []int32) {
 	d.pool.Put(join)
 }
 
-// Races implements rr.Tool. In sharded mode the per-stripe race lists
-// are merged and ordered by event index — the same total order a serial
-// run over the same delivered trace produces. Must be called under full
-// exclusion; for incremental draining under a single stripe lock use
-// StripeRaces.
+// Races implements rr.Tool. The stripe race lists are merged and ordered
+// by event index — the same total order a serial run over the same
+// delivered trace produces; a single stripe's list already is that
+// order. Must be called under full exclusion; for incremental draining
+// under a single stripe lock use StripeRaces.
 func (d *Detector) Races() []rr.Report {
-	if d.stripes == nil {
-		return d.races
+	if len(d.stripes) == 1 {
+		return d.stripes[0].races
 	}
 	total := 0
 	for i := range d.stripes {
@@ -955,22 +774,17 @@ func (d *Detector) Races() []rr.Report {
 // footprint computes the live shadow-memory footprint in bytes; the
 // memory budget (budget.go) compares it against the configured ceiling.
 // Every retained byte is charged to the structure that pins it: the
-// dense epoch arrays (16 bytes per variable across w and r), the flag
-// bitset, the detailed-mode index tables, read-VC stores (free slots
-// included — their arrays are still held), stripe tables, provenance
-// state, thread/lock/volatile clocks, and the slab pool's free lists.
+// stripe tables (16 bytes per variable across w and r, plus flag bits,
+// cold entries and provenance records), read-VC stores (free slots
+// included — their arrays are still held), the provenance rings,
+// thread/lock/volatile clocks, and the slab pool's free lists.
 func (d *Detector) footprint() int64 {
 	var bytes int64
-	bytes += int64(cap(d.w)+cap(d.r)) * 8
-	bytes += int64(cap(d.flagged)) * 8
-	bytes += int64(cap(d.lastWriteIdx)+cap(d.lastReadIdx)) * 8
-	bytes += d.shared.bytes()
 	for i := range d.stripes {
 		bytes += d.stripes[i].tab.bytes()
 		bytes += d.stripes[i].shared.bytes()
 	}
 	if d.prov != nil {
-		bytes += provVarRecBytes * int64(len(d.prov.vars))
 		for _, r := range d.prov.rings {
 			if r == nil {
 				continue
@@ -991,14 +805,9 @@ func (d *Detector) footprint() int64 {
 	return bytes
 }
 
-// provVarRecBytes is the size of a provVarRec (two provAccess records
-// of four scalars each).
-const provVarRecBytes = 64
-
-// Stats implements rr.Tool; ShadowBytes is computed from live state. In
-// sharded mode the per-stripe counters are merged into the detector's
-// own (which hold the sync-event accounting). Must be called under full
-// exclusion.
+// Stats implements rr.Tool; ShadowBytes is computed from live state. The
+// per-stripe access counters are merged into the detector's own (which
+// hold the sync-event accounting). Must be called under full exclusion.
 func (d *Detector) Stats() rr.Stats {
 	st := d.st
 	for i := range d.stripes {
@@ -1015,29 +824,22 @@ func (d *Detector) ClockOf(t int32) vc.VC { return d.thread(t).c.Copy() }
 // ReadStateOf exposes variable x's read history for white-box tests: the
 // epoch and false, or the read vector clock and true when read-shared.
 func (d *Detector) ReadStateOf(x uint64) (vc.Epoch, vc.VC, bool) {
-	_, rp, rs := d.histOf(x)
-	if isShared(*rp) {
-		return 0, rs.vcAt(sharedIdx(*rp)).Copy(), true
+	s, slot := d.histOf(x)
+	if r := s.tab.r[slot]; isShared(r) {
+		return 0, s.shared.vcAt(sharedIdx(r)).Copy(), true
 	}
-	return *rp, nil, false
+	return s.tab.r[slot], nil, false
 }
 
 // WriteEpochOf exposes variable x's write epoch W_x for white-box tests.
 func (d *Detector) WriteEpochOf(x uint64) vc.Epoch {
-	wp, _, _ := d.histOf(x)
-	return *wp
+	s, slot := d.histOf(x)
+	return s.tab.w[slot]
 }
 
-// histOf returns pointers to variable x's epoch history and the read-VC
-// store of whichever layout is active, materializing the slot if needed.
-func (d *Detector) histOf(x uint64) (wp, rp *vc.Epoch, rs *rvcStore) {
-	if d.stripes != nil {
-		s := d.stripeOf(x)
-		slot := s.tab.lookup(x)
-		return &s.tab.w[slot], &s.tab.r[slot], &s.shared
-	}
-	if x >= uint64(len(d.r)) {
-		d.growVars(x)
-	}
-	return &d.w[x], &d.r[x], &d.shared
+// histOf returns variable x's stripe and slot, materializing the slot if
+// needed.
+func (d *Detector) histOf(x uint64) (*stripeState, int) {
+	s := d.stripeOf(x)
+	return s, s.tab.lookup(x)
 }

@@ -396,7 +396,7 @@ func TestReadShareReusesDemotedVC(t *testing.T) {
 	if got := d.Stats().VCAlloc - alloc; got != 3 {
 		t.Errorf("VCAlloc grew by %d, want 3 (two thread clocks + one logical inflation)", got)
 	}
-	if got := len(d.shared.regions); got != 1 {
+	if got := len(d.stripes[0].shared.regions); got != 1 {
 		t.Errorf("read-VC store grew to %d slots, want the demoted slot recycled", got)
 	}
 	_, rvc, shared := d.ReadStateOf(1)
@@ -529,32 +529,40 @@ func TestExtendedSameEpochPrecisionUnchanged(t *testing.T) {
 }
 
 func TestDetailedReportsCarryPrevIndex(t *testing.T) {
-	d := New(4, 4)
-	d.EnableDetailedReports()
-	tr := trace.Trace{
-		trace.ForkOf(0, 1), // 0
-		trace.Wr(0, 5),     // 1
-		trace.Wr(1, 5),     // 2: write-write race, prev = 1
-		trace.Rd(0, 6),     // 3
-		trace.Wr(1, 6),     // 4: read-write race, prev = 3
-		trace.Wr(0, 7),     // 5
-		trace.Rd(1, 7),     // 6: write-read race, prev = 5
-	}
-	for i, e := range tr {
-		d.HandleEvent(i, e)
-	}
-	races := d.Races()
-	if len(races) != 3 {
-		t.Fatalf("races = %v", races)
-	}
-	want := map[uint64]int{5: 1, 6: 3, 7: 5}
-	for _, r := range races {
-		if r.PrevIndex != want[r.Var] {
-			t.Errorf("x%d: PrevIndex = %d, want %d (%v)", r.Var, r.PrevIndex, want[r.Var], r)
-		}
-		if r.Index <= r.PrevIndex {
-			t.Errorf("x%d: Index %d not after PrevIndex %d", r.Var, r.Index, r.PrevIndex)
-		}
+	for _, tc := range []struct {
+		layout string
+		shards int
+	}{{"serial", 0}, {"sharded", 4}} {
+		t.Run(tc.layout, func(t *testing.T) {
+			d := New(4, 4)
+			d.EnableSharding(tc.shards)
+			d.EnableDetailedReports()
+			tr := trace.Trace{
+				trace.ForkOf(0, 1), // 0
+				trace.Wr(0, 5),     // 1
+				trace.Wr(1, 5),     // 2: write-write race, prev = 1
+				trace.Rd(0, 6),     // 3
+				trace.Wr(1, 6),     // 4: read-write race, prev = 3
+				trace.Wr(0, 7),     // 5
+				trace.Rd(1, 7),     // 6: write-read race, prev = 5
+			}
+			for i, e := range tr {
+				d.HandleEvent(i, e)
+			}
+			races := d.Races()
+			if len(races) != 3 {
+				t.Fatalf("races = %v", races)
+			}
+			want := map[uint64]int{5: 1, 6: 3, 7: 5}
+			for _, r := range races {
+				if r.PrevIndex != want[r.Var] {
+					t.Errorf("x%d: PrevIndex = %d, want %d (%v)", r.Var, r.PrevIndex, want[r.Var], r)
+				}
+				if r.Index <= r.PrevIndex {
+					t.Errorf("x%d: Index %d not after PrevIndex %d", r.Var, r.Index, r.PrevIndex)
+				}
+			}
+		})
 	}
 }
 

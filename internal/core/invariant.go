@@ -131,19 +131,13 @@ func (d *Detector) CheckWellFormed() error {
 		}
 		return checkEpoch("R", x, r)
 	}
-	for x := range d.r {
-		if err := checkVar(uint64(x), d.w[x], d.r[x], &d.shared); err != nil {
-			return err
-		}
-	}
-	// Sharded layout: the same conditions over every stripe's table.
 	for i := range d.stripes {
 		s := &d.stripes[i]
-		for slot := range s.tab.keys {
-			if s.tab.meta[slot]&slotUsed == 0 {
+		for slot := range s.tab.w {
+			if !s.tab.live(slot) {
 				continue
 			}
-			if err := checkVar(s.tab.keys[slot], s.tab.w[slot], s.tab.r[slot], &s.shared); err != nil {
+			if err := checkVar(s.tab.key(slot), s.tab.w[slot], s.tab.r[slot], &s.shared); err != nil {
 				return err
 			}
 		}

@@ -83,7 +83,7 @@ func TestWellFormedDetectsCorruption(t *testing.T) {
 	d.HandleEvent(1, trace.Wr(0, 0))
 	// Corrupt: pretend variable 0 was written at a clock far beyond
 	// thread 0's current time.
-	d.w[0] = d.threads[0].c.Epoch(0) + 1000
+	d.stripes[0].tab.w[0] = d.threads[0].c.Epoch(0) + 1000
 	if err := d.CheckWellFormed(); err == nil {
 		t.Error("corrupted write epoch not detected")
 	}

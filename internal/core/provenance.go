@@ -25,9 +25,8 @@ import (
 //     access's generation IS the accessor's clock at the access;
 //   - a per-variable last-access record: the tid, event index, epoch,
 //     and snapshot generation of the most recent non-redundant read and
-//     write — four scalar stores, no copying. In sharded mode it hangs
-//     off shardedVar so the access path stays stripe-confined; in
-//     serial mode it is a dense slice parallel to the variable table.
+//     write — four scalar stores, no copying. It is part of the
+//     variable's cold entry, so the access path stays stripe-confined.
 //
 // When a race fires, Detector.report enriches the rr.Report into an
 // rr.DetailedReport: both accesses' clocks (the prior one reconstructed
@@ -65,11 +64,6 @@ type provAccess struct {
 
 func (pa *provAccess) record(tid int32, i int, gen uint64, epoch vc.Epoch) {
 	pa.tid, pa.idx, pa.gen, pa.epoch = tid, i, gen, epoch
-}
-
-// provVarRec is a variable's last-access record, both sides.
-type provVarRec struct {
-	w, r provAccess
 }
 
 // provSyncRec is a ring entry in raw form. Rendering the op name and
@@ -126,9 +120,7 @@ func (r *provRing) recent(k int, out []rr.SyncRecord) []rr.SyncRecord {
 
 // provState is the detector's flight-recorder state; nil when disabled.
 type provState struct {
-	rings   []*provRing                   // per-thread recorder state, indexed by tid
-	vars    []provVarRec                  // serial-mode per-variable records
-	details map[uint64]*rr.DetailedReport // serial-mode enriched reports, by variable
+	rings []*provRing // per-thread recorder state, indexed by tid
 }
 
 // EnableProvenance turns on the flight recorder (implying detailed
@@ -141,7 +133,7 @@ func (d *Detector) EnableProvenance() {
 		return
 	}
 	d.EnableDetailedReports()
-	d.prov = &provState{details: make(map[uint64]*rr.DetailedReport)}
+	d.prov = &provState{}
 }
 
 // ProvenanceEnabled reports whether the flight recorder is on.
@@ -244,19 +236,6 @@ func (d *Detector) provRingOf(t int32) *provRing {
 	return nil
 }
 
-// provVarSerial returns (materializing if needed) variable x's
-// last-access record in the serial layout; sharded records live in the
-// variable's stripe-confined varCold (see varCold.provRec). Callers hold
-// full exclusion, the same discipline as the serial shadow state itself.
-func (d *Detector) provVarSerial(x uint64) *provVarRec {
-	for x >= uint64(len(d.prov.vars)) {
-		d.prov.vars = append(d.prov.vars, provVarRec{
-			w: provAccess{idx: -1}, r: provAccess{idx: -1},
-		})
-	}
-	return &d.prov.vars[x]
-}
-
 // clockSnapshot copies a vector clock into the plain []uint64 form the
 // JSON report schema uses, dropping trailing zeros.
 func clockSnapshot(c vc.VC) []uint64 {
@@ -272,33 +251,28 @@ func clockSnapshot(c vc.VC) []uint64 {
 }
 
 // enrich builds the DetailedReport for a just-detected race and stores
-// it where DetailedRaces will find it: the serial details map, or the
-// variable's stripe-confined cold entry (s/slot identify it; s is nil in
-// serial mode). w and r are the variable's pre-update history — w the
-// prior write epoch, r (or a component of the rs store's clock it tags)
-// the prior read history. It runs at most once per variable, under the
-// same lock as the access that raced.
-func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeState, slot int, ts *threadState) {
+// it where DetailedRaces will find it: the variable's stripe-confined
+// cold entry (s/slot identify it). w and r are the variable's
+// pre-update history — w the prior write epoch, r (or a component of the
+// stripe store's clock it tags) the prior read history. It runs at most
+// once per variable, under the same lock as the access that raced.
+func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, s *stripeState, slot int, ts *threadState) {
+	rs := &s.shared
 	det := &rr.DetailedReport{
 		Report:      rep,
 		AccessClock: clockSnapshot(ts.c),
 		FailedCheck: d.failedCheck(rep, w, r, rs, ts),
 	}
 
-	var pv *provVarRec
-	if s != nil {
-		pv = s.tab.coldFor(slot).provRec()
-	} else {
-		pv = d.provVarSerial(rep.Var)
-	}
+	c := s.tab.coldFor(slot)
 	// The epoch and clock snapshot of the prior access.
 	prev := vc.Tid(rep.PrevTid)
 	var prevRec *provAccess
 	switch rep.Kind {
 	case rr.WriteWrite, rr.WriteRead:
 		det.PrevEpoch = w.String()
-		if pv.w.idx >= 0 {
-			prevRec = &pv.w
+		if c.w.idx >= 0 {
+			prevRec = &c.w
 		}
 	case rr.ReadWrite:
 		if isShared(r) {
@@ -306,8 +280,8 @@ func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeS
 		} else {
 			det.PrevEpoch = r.String()
 		}
-		if pv.r.idx >= 0 {
-			prevRec = &pv.r
+		if c.r.idx >= 0 {
+			prevRec = &c.r
 		}
 	}
 	// Quote the snapshot only when it belongs to the thread the race
@@ -325,12 +299,7 @@ func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeS
 	sortSyncChain(det.SyncChain)
 
 	det.Explanation = det.Render()
-
-	if s != nil {
-		s.tab.coldFor(slot).detail = det
-	} else {
-		d.prov.details[rep.Var] = det
-	}
+	c.detail = det
 }
 
 // failedCheck renders the FastTrack happens-before comparison the race
@@ -376,15 +345,11 @@ func (d *Detector) DetailedRaces() []rr.DetailedReport {
 	for i, r := range races {
 		var det *rr.DetailedReport
 		if d.prov != nil {
-			if d.stripes != nil {
-				tb := &d.stripeOf(r.Var).tab
-				if slot := tb.find(r.Var); slot >= 0 {
-					if c := tb.coldOf(slot); c != nil {
-						det = c.detail
-					}
+			tb := &d.stripeOf(r.Var).tab
+			if slot := tb.find(r.Var); slot >= 0 {
+				if c := tb.coldOf(slot); c != nil {
+					det = c.detail
 				}
-			} else {
-				det = d.prov.details[r.Var]
 			}
 		}
 		if det != nil && det.Report == r {

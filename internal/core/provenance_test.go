@@ -12,11 +12,11 @@ import (
 // 0 writes x under lock m, thread 1 then writes x without acquiring m.
 func provTrace() trace.Trace {
 	return trace.Trace{
-		trace.ForkOf(0, 1),  // 0
-		trace.Acq(0, 5),     // 1
-		trace.Wr(0, 3),      // 2
-		trace.Rel(0, 5),     // 3
-		trace.Wr(1, 3),      // 4: races with event 2
+		trace.ForkOf(0, 1), // 0
+		trace.Acq(0, 5),    // 1
+		trace.Wr(0, 3),     // 2
+		trace.Rel(0, 5),    // 3
+		trace.Wr(1, 3),     // 4: races with event 2
 	}
 }
 

@@ -43,8 +43,9 @@ package core
 //
 // Sharded mode: the threshold is written only under the Monitor's full
 // write lock (the same exclusion as sync events) and read on the access
-// path under the stripe discipline, so it needs no atomics; the skip
-// path's counters live on the accessed variable's stripe.
+// path under the stripe discipline, so it needs no atomics. In both
+// layouts the skip path's counters live on the accessed variable's
+// stripe.
 
 // sampleFull is the threshold meaning "every variable sampled": no
 // 32-bit hash value reaches 1<<32, so the skip path is unreachable and
@@ -79,30 +80,11 @@ func (d *Detector) SamplingRate() float64 {
 }
 
 // sampledOut reports whether an access to variable x must take the skip
-// path under the current rate. Hot-path shape: one compare at full
-// fidelity (the common case), hash + compare otherwise.
+// path under the current rate: the read/write handlers then count the
+// access into SampledOut and stop before any shadow state exists or is
+// read. Hot-path shape: one compare at full fidelity (the common case),
+// hash + compare otherwise.
 func (d *Detector) sampledOut(x uint64) bool {
 	thr := d.sampleThr
 	return thr != sampleFull && sampleHash(x) >= thr
-}
-
-// skipAccess is the O(1) path for an access outside the sampled set:
-// count it (into the variable's stripe in sharded mode) and stop before
-// any shadow state exists or is read. isRead selects the Reads/Writes
-// counter; countEvent mirrors the read/write handlers' Tool-vs-Prefilter
-// distinction.
-func (d *Detector) skipAccess(x uint64, isRead, countEvent bool) {
-	st := &d.st
-	if d.stripes != nil {
-		st = &d.stripeOf(x).st
-	}
-	if isRead {
-		st.Reads++
-	} else {
-		st.Writes++
-	}
-	if countEvent {
-		st.Events++
-	}
-	st.SampledOut++
 }

@@ -7,61 +7,57 @@ import (
 	"fasttrack/internal/vc"
 )
 
-// This file holds the detector's sharded storage layout, the back half
-// of the lock-striped ingestion path (see rr/stripe.go for the locking
-// contract and the legality argument). The Monitor owns the stripe
-// locks; the detector owns per-stripe variable tables so that the state
-// an access handler mutates — the variable's shadow word, the stripe's
-// access counters, the stripe's race list — is confined to the stripe
-// whose lock the caller holds. Thread, lock and volatile clocks stay on
-// the detector: the access path only reads them, and every event that
-// writes them is delivered under full exclusion.
+// This file holds the detector's shadow storage: one or more stripes,
+// each owning the variable table, read-VC store, access counters and
+// race list that the access handlers read and write. A serial detector
+// has a single stripe whose table is dense — the slot is the variable id
+// itself — and the lock-striped ingestion path (see rr/stripe.go for the
+// locking contract and the legality argument) gives each of its n
+// stripes a hashed table, so that everything an access mutates is
+// confined to the stripe whose lock the caller holds. Thread, lock and
+// volatile clocks stay on the detector: the access path only reads them,
+// and every event that writes them is delivered under full exclusion.
 //
-// Storage mirrors the serial struct-of-arrays layout (DESIGN.md §13):
-// each stripe owns an open-addressing table whose parallel arrays hold
-// the hot epoch pair next to the key, so the same-epoch fast path costs
-// one probe and one epoch compare — no map header chase, no per-variable
-// heap node. Cold per-variable state (detailed-mode indices, provenance
-// records, enriched reports) lives in a side slice reached through a
-// per-slot index, materialized only for variables that need it.
+// Both table forms are struct-of-arrays (DESIGN.md §13): the hot epoch
+// pair sits in parallel w/r arrays, so the same-epoch fast path costs
+// one slot resolution and one epoch compare — an index in the dense
+// form, one probe in the hashed form; no map header chase, no
+// per-variable heap node. Race flags are a bitset. Cold per-variable
+// state (detailed-mode indices, provenance records, enriched reports)
+// lives in a side slice reached through a per-slot index, materialized
+// only for variables that need it.
 
-// meta bits of a stripeTab slot.
-const (
-	slotUsed    = 1 << 0 // key/w/r are live
-	slotFlagged = 1 << 1 // a race was recorded on this variable
-)
+// slotUsed marks a live slot in a hashed table's meta array.
+const slotUsed = 1
 
-// stripeTab is one stripe's variable table: open addressing with linear
+// stripeTab is one stripe's variable table. In the dense form slot x
+// holds variable x, every slot below len(w) is live, and keys and meta
+// stay empty. In the hashed form it is open addressing with linear
 // probing over power-of-two parallel arrays. Variables are never
 // deleted (compaction rewrites values, not keys), so probing needs no
 // tombstones. Growth doubles at 3/4 load.
 type stripeTab struct {
+	dense   bool
 	keys    []uint64
 	meta    []uint8
 	w, r    []vc.Epoch
-	coldIdx []int32 // slot -> cold index, -1 if none; junk for unused slots
+	flagged []uint64 // race flags, one bit per slot
+	coldIdx []int32  // slot -> cold index, -1 if none (or past the end); junk for unused slots
 	cold    []varCold
 	mask    uint64
 	used    int
 }
 
-// varCold is the rarely-touched per-variable state of the sharded
-// layout: detailed-report access indices and, when the flight recorder
-// is on, the provenance record and the enriched report. Stripe-confined
-// like the rest of the table.
+// varCold is the rarely-touched per-variable state: the most recent
+// non-redundant read and write, and the enriched report once a race is
+// detected. A record's event index serves detailed reports; its thread,
+// epoch and clock generation are filled in only while the flight
+// recorder is on (tid stays -1 otherwise, so the enricher never quotes a
+// clock for an access it did not record). Stripe-confined like the rest
+// of the table.
 type varCold struct {
-	lastR, lastW int
-	prov         *provVarRec
-	detail       *rr.DetailedReport
-}
-
-// provRec returns (materializing if needed) the cold entry's provenance
-// last-access record.
-func (c *varCold) provRec() *provVarRec {
-	if c.prov == nil {
-		c.prov = &provVarRec{w: provAccess{idx: -1}, r: provAccess{idx: -1}}
-	}
-	return c.prov
+	r, w   provAccess
+	detail *rr.DetailedReport
 }
 
 // mix64 is the 64-bit murmur finalizer, the probe hash of stripeTab.
@@ -80,6 +76,12 @@ func mix64(x uint64) uint64 {
 // lookup returns variable x's slot, inserting a fresh history (R = W =
 // ⊥e, unflagged) if the table does not have one.
 func (tb *stripeTab) lookup(x uint64) int {
+	if tb.dense {
+		if x >= uint64(len(tb.w)) {
+			tb.growDense(int(x) + 1)
+		}
+		return int(x)
+	}
 	if tb.mask != 0 {
 		h := mix64(x) & tb.mask
 		for tb.meta[h]&slotUsed != 0 {
@@ -94,6 +96,12 @@ func (tb *stripeTab) lookup(x uint64) int {
 
 // find returns variable x's slot, or -1 without inserting.
 func (tb *stripeTab) find(x uint64) int {
+	if tb.dense {
+		if x < uint64(len(tb.w)) {
+			return int(x)
+		}
+		return -1
+	}
 	if tb.mask == 0 {
 		return -1
 	}
@@ -106,6 +114,23 @@ func (tb *stripeTab) find(x uint64) int {
 	}
 	return -1
 }
+
+// live reports whether slot holds a variable.
+func (tb *stripeTab) live(slot int) bool { return tb.dense || tb.meta[slot]&slotUsed != 0 }
+
+// key returns the variable a live slot holds.
+func (tb *stripeTab) key(slot int) uint64 {
+	if tb.dense {
+		return uint64(slot)
+	}
+	return tb.keys[slot]
+}
+
+// isFlagged reports whether a race was recorded on slot's variable.
+func (tb *stripeTab) isFlagged(slot int) bool { return tb.flagged[slot>>6]&(1<<(slot&63)) != 0 }
+
+// flag records a race on slot's variable.
+func (tb *stripeTab) flag(slot int) { tb.flagged[slot>>6] |= 1 << (slot & 63) }
 
 func (tb *stripeTab) insert(x uint64) int {
 	if tb.mask == 0 || tb.used*4 >= len(tb.keys)*3 {
@@ -122,9 +147,10 @@ func (tb *stripeTab) insert(x uint64) int {
 	return int(h)
 }
 
-// grow rehashes into arrays of double the size (64 slots to start). The
-// cold slice is carried by index, so only the slot arrays move. Fresh
-// slots are zero: W = R = ⊥e is exactly a fresh variable's history.
+// grow rehashes a hashed table into arrays of double the size (64 slots
+// to start). The cold slice is carried by index, so only the slot arrays
+// move. Fresh slots are zero: W = R = ⊥e is exactly a fresh variable's
+// history.
 func (tb *stripeTab) grow() {
 	n := 2 * len(tb.keys)
 	if n == 0 {
@@ -135,6 +161,7 @@ func (tb *stripeTab) grow() {
 	tb.meta = make([]uint8, n)
 	tb.w = make([]vc.Epoch, n)
 	tb.r = make([]vc.Epoch, n)
+	tb.flagged = make([]uint64, n/64)
 	tb.coldIdx = make([]int32, n)
 	tb.mask = uint64(n - 1)
 	for i := range old.keys {
@@ -149,112 +176,110 @@ func (tb *stripeTab) grow() {
 		tb.meta[h] = old.meta[i]
 		tb.w[h] = old.w[i]
 		tb.r[h] = old.r[i]
+		if old.isFlagged(i) {
+			tb.flag(int(h))
+		}
 		tb.coldIdx[h] = old.coldIdx[i]
 	}
 }
 
+// growDense extends a dense table to n slots. Growth doubles explicitly
+// rather than relying on append: the runtime's large-slice growth factor
+// (~1.25x) re-copies a multi-megabyte table dozens of times during a
+// rapid-allocation phase, and per-element appends pay that for w and r
+// separately. make zeroes the whole capacity and the table never
+// shrinks, so extending within capacity is a pure reslice — fresh
+// variables are born ⊥e and unflagged for free.
+func (tb *stripeTab) growDense(n int) {
+	tb.w = growSlice(tb.w, n, 64)
+	tb.r = growSlice(tb.r, n, 64)
+	if k := (n + 63) >> 6; k > len(tb.flagged) {
+		tb.flagged = growSlice(tb.flagged, k, 16)
+	}
+}
+
+// growSlice extends s to length n, doubling its capacity (to no less
+// than least) as needed. The in-capacity case is a reslice that inlines
+// into growDense, so first-touch accesses pay no allocator call.
+func growSlice[T any](s []T, n, least int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return reallocSlice(s, n, least)
+}
+
+func reallocSlice[T any](s []T, n, least int) []T {
+	c := 2 * cap(s)
+	if c < least {
+		c = least
+	}
+	for c < n {
+		c *= 2
+	}
+	ns := make([]T, n, c)
+	copy(ns, s)
+	return ns
+}
+
 // coldOf returns slot's cold entry, or nil if none was materialized.
 func (tb *stripeTab) coldOf(slot int) *varCold {
-	if ci := tb.coldIdx[slot]; ci >= 0 {
-		return &tb.cold[ci]
+	if slot < len(tb.coldIdx) {
+		if ci := tb.coldIdx[slot]; ci >= 0 {
+			return &tb.cold[ci]
+		}
 	}
 	return nil
 }
 
 // coldFor returns (materializing if needed) slot's cold entry.
 func (tb *stripeTab) coldFor(slot int) *varCold {
-	if ci := tb.coldIdx[slot]; ci >= 0 {
-		return &tb.cold[ci]
+	if slot < len(tb.coldIdx) && tb.coldIdx[slot] >= 0 {
+		return &tb.cold[tb.coldIdx[slot]]
 	}
-	tb.cold = append(tb.cold, varCold{lastR: -1, lastW: -1})
+	return tb.newCold(slot)
+}
+
+// newCold materializes slot's cold entry. A dense table extends its
+// index array only here, so detectors that never record cold state pay
+// nothing for it.
+func (tb *stripeTab) newCold(slot int) *varCold {
+	for len(tb.coldIdx) <= slot {
+		tb.coldIdx = append(tb.coldIdx, -1)
+	}
+	none := provAccess{idx: -1, tid: -1}
+	tb.cold = append(tb.cold, varCold{r: none, w: none})
 	tb.coldIdx[slot] = int32(len(tb.cold) - 1)
 	return &tb.cold[len(tb.cold)-1]
 }
 
 // bytes is the table's contribution to the shadow footprint: the
-// parallel slot arrays (29 bytes per slot), the cold entries, and the
-// provenance records hanging off them.
+// parallel slot arrays (16 bytes per dense slot, 29 per hashed slot,
+// plus the flag bits) and the cold entries (72 bytes each).
 func (tb *stripeTab) bytes() int64 {
-	b := int64(cap(tb.keys))*8 + int64(cap(tb.meta)) +
-		int64(cap(tb.w)+cap(tb.r))*8 + int64(cap(tb.coldIdx))*4 +
-		int64(cap(tb.cold))*48
-	for i := range tb.cold {
-		if tb.cold[i].prov != nil {
-			b += provVarRecBytes
-		}
-	}
-	return b
+	return int64(cap(tb.keys))*8 + int64(cap(tb.meta)) +
+		int64(cap(tb.w)+cap(tb.r))*8 + int64(cap(tb.flagged))*8 +
+		int64(cap(tb.coldIdx))*4 + int64(cap(tb.cold))*72
 }
 
 // stripeState is one stripe's share of the analysis state: the variable
 // table, the read-VC store backing its read-shared variables, the
 // access-path counters those variables' accesses are counted into, and
-// the races detected on them. Everything in it is guarded by the
-// caller-held stripe lock.
+// the races detected on them. Under sharding everything in it is
+// guarded by the caller-held stripe lock.
 type stripeState struct {
 	tab    stripeTab
-	shared rvcStore
 	st     rr.Stats
+	shared rvcStore
 	races  []rr.Report
 }
 
-// readSharded is the sharded read access path: everything it touches —
-// the slot, the stripe's store, counters and race list — is confined to
-// x's stripe. Thread state is read-only here (the sharded Monitor's
-// watermark guarantees the thread is materialized).
-func (d *Detector) readSharded(i int, tid int32, x uint64, countEvent bool) {
-	s := d.stripeOf(x)
-	st := &s.st
-	st.Reads++
-	if countEvent {
-		st.Events++
-	}
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		st.SampledOut++
-		return
-	}
-	slot := s.tab.lookup(x)
-	if int(tid) >= len(d.threads) {
-		d.thread(tid)
-	}
-	// [FT READ SAME EPOCH], sharded: one probe, one compare.
-	if s.tab.r[slot] == d.threads[tid].epoch {
-		st.ReadSameEpoch++
-		return
-	}
-	d.readSlow(i, tid, x, &s.tab.w[slot], &s.tab.r[slot], &s.shared, st, s, slot)
-}
-
-// writeSharded is readSharded's write-side twin.
-func (d *Detector) writeSharded(i int, tid int32, x uint64, countEvent bool) {
-	s := d.stripeOf(x)
-	st := &s.st
-	st.Writes++
-	if countEvent {
-		st.Events++
-	}
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		st.SampledOut++
-		return
-	}
-	slot := s.tab.lookup(x)
-	if int(tid) >= len(d.threads) {
-		d.thread(tid)
-	}
-	if s.tab.w[slot] == d.threads[tid].epoch {
-		st.WriteSameEpoch++
-		return
-	}
-	d.writeSlow(i, tid, x, &s.tab.w[slot], &s.tab.r[slot], &s.shared, st, s, slot)
-}
-
 // EnableSharding switches the detector's access-path storage to n
-// per-stripe variable tables, implementing rr.ShardedTool. n < 2 keeps
-// the serial dense-table layout. It must be called on a fresh detector:
-// remapping already-populated shadow state across stripes is not
-// supported. The shadow-memory budget is incompatible with sharding —
-// its coarse fallback remaps variable ids, which would silently move a
-// variable to a different stripe than the one the caller locked.
+// hashed stripes, implementing rr.ShardedTool. n < 2 keeps the serial
+// dense layout. It must be called on a fresh detector: remapping
+// already-populated shadow state across stripes is not supported. The
+// shadow-memory budget is incompatible with sharding — its coarse
+// fallback remaps variable ids, which would silently move a variable to
+// a different stripe than the one the caller locked.
 func (d *Detector) EnableSharding(n int) {
 	if n < 2 {
 		return
@@ -262,15 +287,19 @@ func (d *Detector) EnableSharding(n int) {
 	if d.budget > 0 {
 		panic("core: EnableSharding is incompatible with a memory budget")
 	}
-	if d.st.Events != 0 || len(d.r) > 0 || len(d.threads) > 0 {
+	if d.Stats().Events != 0 || len(d.threads) > 0 || len(d.serial[0].tab.w) > 0 {
 		panic("core: EnableSharding called after events were handled")
 	}
 	d.stripes = make([]stripeState, n)
 }
 
-// stripeOf returns the stripe owning variable x. Must agree with the
-// lock the caller chose, so it uses the shared rr.StripeOf mapping.
+// stripeOf returns the stripe owning variable x. Under sharding it must
+// agree with the lock the caller chose, so it uses the shared
+// rr.StripeOf mapping; a serial detector's one stripe owns everything.
 func (d *Detector) stripeOf(x uint64) *stripeState {
+	if len(d.stripes) == 1 {
+		return &d.serial[0]
+	}
 	return &d.stripes[rr.StripeOf(x, len(d.stripes))]
 }
 
@@ -280,16 +309,11 @@ func (d *Detector) stripeOf(x uint64) *stripeState {
 func (d *Detector) ThreadsMaterialized() int { return len(d.threads) }
 
 // StripeRaces implements rr.ShardedTool: the races recorded on stripe s
-// in detection order. The returned slice is the stripe's backing store;
-// callers must hold stripe lock s (or full exclusion) and must not
-// retain it across unlocks.
+// in detection order (a serial detector has the one stripe 0). The
+// returned slice is the stripe's backing store; callers must hold
+// stripe lock s (or full exclusion) and must not retain it across
+// unlocks.
 func (d *Detector) StripeRaces(s int) []rr.Report {
-	if d.stripes == nil {
-		if s == 0 {
-			return d.races
-		}
-		return nil
-	}
 	if s < 0 || s >= len(d.stripes) {
 		panic(fmt.Sprintf("core: StripeRaces(%d) with %d stripes", s, len(d.stripes)))
 	}

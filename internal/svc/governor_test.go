@@ -401,10 +401,16 @@ func TestWatchdogQuarantine(t *testing.T) {
 	if !sameRaces(res.Races, want) {
 		t.Errorf("neighbor races diverged after quarantine: got %v want %v", res.Races, want)
 	}
-	// More ticks must not quarantine the healthy idle neighbor.
+	// More ticks must not quarantine the healthy idle neighbor. Its
+	// worker finishes the results item just after sending the reply;
+	// back-to-back manual ticks would otherwise catch it mid-item with
+	// no progress in between, which real ticks StuckTimeout apart never
+	// do.
+	ns := srv.lookup(neighbor.ID())
+	waitUntil(t, "neighbor worker to go idle", func() bool { return !ns.working.Load() })
 	srv.governorTick()
 	srv.governorTick()
-	if got := srv.lookup(neighbor.ID()).stateName(); got != "streaming" {
+	if got := ns.stateName(); got != "streaming" {
 		t.Errorf("neighbor state %q after extra ticks, want streaming", got)
 	}
 

@@ -292,9 +292,11 @@ func (sess *session) workerLoop() {
 	case sawClose:
 		sess.finalize(stateCompleted, nil)
 	case errors.Is(terminalErr, errIdleEvicted):
-		sess.srv.sm.sessionsEvicted.Inc()
 		sess.conn.Close()
 		sess.finalize(stateEvicted, terminalErr)
+		// Counted after finalize, so an observer that sees the counter
+		// also sees the session in its evicted state.
+		sess.srv.sm.sessionsEvicted.Inc()
 	case sess.srv.draining.Load():
 		sess.finalize(stateDrained, nil)
 	case terminalErr != nil && !isDisconnect(terminalErr):

@@ -198,6 +198,11 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// A session leaves the active count when the server finalizes it,
+	// which happens after the close reply the client has already seen.
+	waitUntil(t, "every session to finalize", func() bool {
+		return srv.Registry().Snapshot().Gauge("svc.sessionsActive") <= 0
+	})
 	snap := srv.Registry().Snapshot()
 	if got := snap.Counter("svc.sessionsTotal"); got != n {
 		t.Errorf("svc.sessionsTotal = %d, want %d", got, n)

@@ -248,6 +248,18 @@ func TestEventLogStructured(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The server finalizes the session, and logs "end", after it has
+	// sent the close reply and the connection has wound down.
+	waitUntil(t, "end event", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range events {
+			if e.Kind == "end" {
+				return true
+			}
+		}
+		return false
+	})
 
 	mu.Lock()
 	defer mu.Unlock()

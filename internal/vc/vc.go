@@ -79,7 +79,7 @@ func (e Epoch) Tid() Tid { return Tid(uint64(e) >> ClockBits) }
 func (e Epoch) Clock() Clock { return Clock(uint64(e) & clockMask) }
 
 // LEq reports whether the epoch happens before (or equals) the vector
-// clock V, written c@t � V in the paper: c <= V(t). This is the O(1)
+// clock V, written c@t ⊑ V in the paper: c <= V(t). This is the O(1)
 // comparison that replaces the O(n) vector-clock comparison on the
 // FastTrack fast paths. The body is flattened (no Get/Clock/Tid calls)
 // so it inlines into the access handlers: one shift, one predictable

@@ -246,7 +246,7 @@ func TestJoinIsLeastUpperBoundProperty(t *testing.T) {
 }
 
 func TestEpochLEqMatchesVCLEqProperty(t *testing.T) {
-	// c@t � V must agree with the pointwise order on the VC interpretation
+	// c@t ⊑ V must agree with the pointwise order on the VC interpretation
 	// of the epoch (Appendix A interprets c@t as λu. if t=u then c else 0).
 	f := func(tid uint8, clock uint8, b []uint8) bool {
 		t0 := Tid(tid % 6)

@@ -77,19 +77,19 @@ func TestReadTextCommentsAndBlanks(t *testing.T) {
 
 func TestReadTextErrors(t *testing.T) {
 	cases := []string{
-		"frobnicate 0 x1",  // unknown op
-		"rd 0",             // missing operand
-		"rd 0 m1",          // wrong sigil
-		"rd zero x1",       // bad tid
-		"rd -1 x1",         // negative tid
-		"fork 0 x1",        // fork target is a tid, not a var
-		"barrier b0",       // no participants
-		"barrier x0 1",     // wrong sigil
-		"txbegin 0 extra",  // too many operands
-		"acq 0 m1 garbage", // too many operands
-		"chsend 0 c1",      // missing capacity
-		"chrecv 0 x1 0",    // wrong sigil
-		"chclose 0 c1 -1",  // negative capacity
+		"frobnicate 0 x1",     // unknown op
+		"rd 0",                // missing operand
+		"rd 0 m1",             // wrong sigil
+		"rd zero x1",          // bad tid
+		"rd -1 x1",            // negative tid
+		"fork 0 x1",           // fork target is a tid, not a var
+		"barrier b0",          // no participants
+		"barrier x0 1",        // wrong sigil
+		"txbegin 0 extra",     // too many operands
+		"acq 0 m1 garbage",    // too many operands
+		"chsend 0 c1",         // missing capacity
+		"chrecv 0 x1 0",       // wrong sigil
+		"chclose 0 c1 -1",     // negative capacity
 		"chsend 0 c1 9999999", // capacity above MaxChanCap
 	}
 	for _, in := range cases {
