@@ -19,6 +19,13 @@
 // -server) the daemon's results. Costs roughly one clock copy per
 // analyzed access; see BENCH_provenance.json.
 //
+// Every local run ingests through a fasttrack.Monitor, the same
+// pipeline racedetectd sessions and the instrumentation shim's local sink
+// use: a loaded trace goes to Monitor.IngestBatch whole, or in -batch
+// chunks; -stream feeds it chunk by chunk as the Scanner decodes it; and
+// -shards N replays through the lock-striped Monitor. -explain and
+// -chaos keep their own paths.
+//
 // -fidelity trades detection probability for analysis cost: sampled(p)
 // analyzes the fraction p of the variable space (accesses to the rest
 // are counted but not checked — a real race can be missed with
@@ -59,7 +66,6 @@ import (
 	"fasttrack/client"
 	"fasttrack/internal/chaos"
 	"fasttrack/internal/hb"
-	"fasttrack/internal/obs"
 	"fasttrack/internal/rr"
 	"fasttrack/internal/sim"
 	"fasttrack/trace"
@@ -83,8 +89,8 @@ func main() {
 	stream := flag.Bool("stream", false, "process the trace incrementally without loading it into memory (single tool only)")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
 	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
-	shards := flag.Int("shards", 1, "ingest through the lock-striped Monitor with this many stripes (single tool, -policy off, no -membudget or -stream)")
-	batch := flag.Int("batch", 0, "replay through the Monitor in IngestBatch chunks of this many events (0 = per-event; same restrictions as -shards)")
+	shards := flag.Int("shards", 1, "ingest through the lock-striped Monitor with this many stripes (above 1: single tool, -policy off, no -membudget or -stream)")
+	batch := flag.Int("batch", 0, "feed a loaded trace to Monitor.IngestBatch in chunks of this many events (0 = the whole trace in one call)")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
@@ -176,6 +182,11 @@ func main() {
 		humanOut = os.Stderr
 	}
 	rep := &runReport{Schema: runReportSchema, Trace: flag.Arg(0), Stream: *stream}
+	o := &localRun{
+		gran: g, policy: policy, memBudget: *memBudget, shards: *shards, batch: *batch,
+		sampleRate: sampleRate, stats: *stats, jsonWanted: jsonWanted, provenance: *provenance,
+		jsonFile: *jsonFile, ms: ms, rep: rep, out: humanOut,
+	}
 
 	if sampleRate > 0 && *all {
 		fatal(fmt.Errorf("-fidelity samples a single tool's run; drop -all"))
@@ -188,7 +199,7 @@ func main() {
 		if *shards > 1 {
 			fatal(fmt.Errorf("-shards applies to batch ingestion; drop -stream"))
 		}
-		exit := runStream(flag.Arg(0), *toolName, g, policy, sampleRate, *validate, *stats, jsonWanted, *provenance, *jsonFile, ms, rep, humanOut)
+		exit := o.stream(flag.Arg(0), *toolName, *validate)
 		finishJSON(jsonWanted, rep, *jsonFile)
 		os.Exit(exit)
 	}
@@ -208,88 +219,210 @@ func main() {
 		return
 	}
 
-	if *shards > 1 || *batch > 0 {
+	if *shards > 1 {
 		if *all {
-			fatal(fmt.Errorf("-shards/-batch run a single tool; drop -all"))
+			fatal(fmt.Errorf("-shards runs a single tool; drop -all"))
 		}
 		if policy != fasttrack.PolicyOff {
-			fatal(fmt.Errorf("-shards/-batch are incompatible with -policy %s (the stream validator is sequential)", *policyName))
+			fatal(fmt.Errorf("-shards is incompatible with -policy %s (the stream validator is sequential)", *policyName))
 		}
 		if *memBudget != 0 {
-			fatal(fmt.Errorf("-shards/-batch are incompatible with -membudget"))
+			fatal(fmt.Errorf("-shards is incompatible with -membudget"))
 		}
-		exit := runMonitor(tr, *toolName, g, *shards, *batch, sampleRate, *stats, jsonWanted, *provenance, ms, rep, humanOut)
-		finishJSON(jsonWanted, rep, *jsonFile)
-		os.Exit(exit)
 	}
 
 	names := []string{*toolName}
 	if *all {
 		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
 	}
-
 	exit := 0
 	for _, name := range names {
-		hints := fasttrack.Hints{Threads: tr.Threads(), MemoryBudget: *memBudget}
-		// The JSON report renders both access sites of each race, which
-		// needs FastTrack's access-history tracking.
-		if jsonWanted && name == "FastTrack" {
-			hints.DetailedReports = true
-		}
-		hints.Provenance = *provenance
-		tool, err := fasttrack.NewTool(name, hints)
-		if err != nil {
-			fatal(err)
-		}
-		applySampleRate(tool, sampleRate)
-
-		reg := obs.NewRegistry()
-		ms.attach(reg)
-		d := rr.NewDispatcher(tool)
-		d.Granularity = g
-		d.Policy = policy
-		d.Obs = reg
-		d.Feed(tr)
-
-		races := tool.Races()
-		health := d.Health()
-		st := tool.Stats()
-		d.FillStats(&st)
-		rr.PublishStats(reg, "tool", st)
-		reg.Gauge("tool.races").Set(int64(len(races)))
-
-		var details []fasttrack.DetailedReport
-		if *provenance {
-			if dt, ok := tool.(rr.DetailedTool); ok {
-				details = dt.DetailedRaces()
-			}
-		}
-
-		printReport(humanOut, tool, races, st, *stats)
-		printDetails(humanOut, details)
-		if policy != fasttrack.PolicyOff {
-			printHealth(humanOut, health)
-		}
-		if jsonWanted {
-			rep.Tools = append(rep.Tools, toolReport{
-				Tool:    tool.Name(),
-				Events:  d.Fed,
-				Races:   raceReportsDetailed(races, tr, details),
-				Stats:   st,
-				Health:  healthJSON(health),
-				Metrics: reg.Snapshot(),
-			})
-		}
-		if health.Err != nil {
-			finishJSON(jsonWanted, rep, *jsonFile)
-			fatal(fmt.Errorf("strict validation: %w", health.Err))
-		}
-		if len(races) > 0 {
-			exit = 1
-		}
+		exit = max(exit, o.replay(tr, name))
 	}
 	finishJSON(jsonWanted, rep, *jsonFile)
 	os.Exit(exit)
+}
+
+// localRun is the configuration of a local analysis, shared by every
+// tool it runs: the flags that shape the pipeline and its report.
+type localRun struct {
+	gran       fasttrack.Granularity
+	policy     fasttrack.Policy
+	memBudget  int64
+	shards     int
+	batch      int
+	sampleRate float64
+	stats      bool
+	jsonWanted bool
+	provenance bool
+	jsonFile   string
+	ms         *metricsServer
+	rep        *runReport
+	out        io.Writer
+}
+
+// monitor builds the local pipeline for one tool: a Monitor, serial or
+// lock-striped, around a tool constructed from the flags. threads is the
+// thread-count hint (0 when streaming).
+func (o *localRun) monitor(name string, threads int) (*fasttrack.Monitor, fasttrack.Tool) {
+	hints := fasttrack.Hints{Threads: threads, MemoryBudget: o.memBudget, Provenance: o.provenance}
+	// The JSON report renders both access sites of each race, which
+	// needs FastTrack's access-history tracking.
+	if o.jsonWanted && name == "FastTrack" {
+		hints.DetailedReports = true
+	}
+	tool, err := fasttrack.NewTool(name, hints)
+	if err != nil {
+		fatal(err)
+	}
+	applySampleRate(tool, o.sampleRate)
+	opts := []fasttrack.MonitorOption{
+		fasttrack.WithTool(tool),
+		fasttrack.WithGranularity(o.gran),
+		fasttrack.WithValidation(o.policy),
+	}
+	if o.shards > 1 {
+		if _, ok := tool.(fasttrack.ShardedTool); !ok {
+			fatal(fmt.Errorf("-shards: tool %q does not support sharded ingestion", tool.Name()))
+		}
+		opts = append(opts, fasttrack.WithShards(o.shards))
+	}
+	mon := fasttrack.NewMonitor(opts...)
+	o.ms.attach(mon.MetricsRegistry())
+	return mon, tool
+}
+
+// replay analyzes a loaded trace with one tool, feeding it to
+// IngestBatch in -batch chunks or whole, and returns the exit code.
+// A file replay is a single feeder, so -shards does not speed the
+// analysis up; it exercises the production concurrent path (striped
+// locking, watermark slow path, reconciled metrics) against a recorded
+// trace, and reports the same race set as the serial path.
+func (o *localRun) replay(tr trace.Trace, name string) int {
+	mon, tool := o.monitor(name, tr.Threads())
+	chunk := o.batch
+	if chunk <= 0 {
+		chunk = len(tr)
+	}
+	for i := 0; i < len(tr); i += chunk {
+		mon.IngestBatch(tr[i:min(i+chunk, len(tr))])
+	}
+	trailer := ""
+	if o.shards > 1 || o.batch > 0 {
+		mode := "serial monitor"
+		if o.shards > 1 {
+			mode = fmt.Sprintf("%d-stripe monitor", o.shards)
+		}
+		if o.batch > 0 {
+			mode += fmt.Sprintf(", batch %d", o.batch)
+		}
+		trailer = fmt.Sprintf("(%d events via %s)", len(tr), mode)
+	}
+	return o.report(mon, tool, int64(len(tr)), tr, trailer, nil)
+}
+
+// streamChunk is the number of events -stream decodes before ingesting
+// them as one batch; progress ticks between chunks.
+const streamChunk = 8192
+
+// stream analyzes the trace incrementally, never holding more than one
+// chunk of it in memory, and returns the process exit code.
+func (o *localRun) stream(path, name string, validate bool) int {
+	r, closeFn, err := openInput(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeFn()
+	mon, tool := o.monitor(name, 0)
+
+	// Feasibility checking (the batch -validate semantics) applies only
+	// under PolicyOff; a validating policy performs its own online checks.
+	var feas *trace.Validator
+	if o.policy == fasttrack.PolicyOff && validate {
+		feas = trace.NewValidator()
+	}
+
+	sc := trace.NewScanner(r)
+	prog := newProgress()
+	chunk := make([]trace.Event, 0, streamChunk)
+	var fed int64
+	var feasErr error
+	for sc.Scan() {
+		e := sc.Event()
+		if feas != nil {
+			if feasErr = feas.Event(e); feasErr != nil {
+				break
+			}
+		}
+		if chunk = append(chunk, e); len(chunk) == streamChunk {
+			mon.IngestBatch(chunk)
+			fed += int64(len(chunk))
+			chunk = chunk[:0]
+			prog.maybeTick(fed, mon)
+		}
+	}
+	// The events read before a feasibility or decode error are analyzed
+	// too, as they would have been one by one.
+	mon.IngestBatch(chunk)
+	fed += int64(len(chunk))
+	if o.policy == fasttrack.PolicyOff {
+		// Historical batch-equivalent behavior: feasibility or decode
+		// errors abort before any report is printed.
+		if feasErr != nil {
+			fatal(feasErr)
+		}
+		if sc.Err() != nil {
+			fatal(sc.Err())
+		}
+	}
+	prog.final(fed, mon)
+	return o.report(mon, tool, fed, nil, fmt.Sprintf("(%d events, streamed)", sc.Index()), sc.Err())
+}
+
+// report prints one tool's run, closed by trailer when it is not empty,
+// adds it to the JSON report, and returns the exit code. tr renders the
+// racing accesses in JSON (nil when streamed). inputErr, a decode error
+// that cut a streamed run short, fails the run after the report, as a
+// strict-validation error does.
+func (o *localRun) report(mon *fasttrack.Monitor, tool fasttrack.Tool, events int64, tr trace.Trace, trailer string, inputErr error) int {
+	races := mon.Races()
+	st := mon.Stats()
+	health := mon.Health()
+	snap := mon.Metrics() // also publishes tool.* and monitor.sharded.*
+	var details []fasttrack.DetailedReport
+	if o.provenance {
+		details = mon.DetailedRaces()
+	}
+
+	printReport(o.out, tool, races, st, o.stats)
+	printDetails(o.out, details)
+	if o.policy != fasttrack.PolicyOff {
+		printHealth(o.out, health)
+	}
+	if trailer != "" {
+		fmt.Fprintln(o.out, trailer)
+	}
+	if o.jsonWanted {
+		o.rep.Tools = append(o.rep.Tools, toolReport{
+			Tool:    tool.Name(),
+			Events:  events,
+			Races:   raceReportsDetailed(races, tr, details),
+			Stats:   st,
+			Health:  healthJSON(health),
+			Metrics: snap,
+		})
+	}
+	if health.Err != nil && inputErr == nil {
+		inputErr = fmt.Errorf("strict validation: %w", health.Err)
+	}
+	if inputErr != nil {
+		finishJSON(o.jsonWanted, o.rep, o.jsonFile)
+		fatal(inputErr)
+	}
+	if len(races) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // applySampleRate starts a tool's sampling tier at the -fidelity rate
@@ -306,197 +439,10 @@ func applySampleRate(tool fasttrack.Tool, rate float64) {
 	s.SetSamplingRate(rate)
 }
 
-// runMonitor replays the trace through the Monitor (serial or
-// lock-striped via -shards) instead of the raw dispatcher, optionally
-// in IngestBatch chunks of batch events. A file replay is a single
-// feeder, so -shards does not speed the analysis up — it exercises
-// exactly the production concurrent path (striped locking, watermark
-// slow path, reconciled metrics) against a recorded trace and reports
-// the same race set as the serial path; -batch measures/exercises the
-// amortized batch ingestion the racedetectd service uses per wire
-// frame.
-func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, shards, batch int,
-	sampleRate float64, stats, jsonWanted, provenance bool, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
-
-	hints := fasttrack.Hints{Threads: tr.Threads(), Provenance: provenance}
-	if jsonWanted && toolName == "FastTrack" {
-		hints.DetailedReports = true
-	}
-	tool, err := fasttrack.NewTool(toolName, hints)
-	if err != nil {
-		fatal(err)
-	}
-	applySampleRate(tool, sampleRate)
-	opts := []fasttrack.MonitorOption{
-		fasttrack.WithTool(tool),
-		fasttrack.WithGranularity(g),
-	}
-	if shards > 1 {
-		if _, ok := tool.(fasttrack.ShardedTool); !ok {
-			fatal(fmt.Errorf("-shards: tool %q does not support sharded ingestion", tool.Name()))
-		}
-		opts = append(opts, fasttrack.WithShards(shards))
-	}
-
-	mon := fasttrack.NewMonitor(opts...)
-	ms.attach(mon.MetricsRegistry())
-	if batch > 0 {
-		for i := 0; i < len(tr); i += batch {
-			mon.IngestBatch(tr[i:min(i+batch, len(tr))])
-		}
-	} else {
-		for _, e := range tr {
-			mon.Ingest(e)
-		}
-	}
-
-	races := mon.Races()
-	st := mon.Stats()
-	health := mon.Health()
-	snap := mon.Metrics() // also publishes tool.* and monitor.sharded.*
-	var details []fasttrack.DetailedReport
-	if provenance {
-		details = mon.DetailedRaces()
-	}
-
-	printReport(humanOut, tool, races, st, stats)
-	printDetails(humanOut, details)
-	mode := "serial monitor"
-	if mon.Shards() > 1 {
-		mode = fmt.Sprintf("%d-stripe monitor", mon.Shards())
-	}
-	if batch > 0 {
-		mode += fmt.Sprintf(", batch %d", batch)
-	}
-	fmt.Fprintf(humanOut, "(%d events via %s)\n", len(tr), mode)
-	if jsonWanted {
-		rep.Tools = append(rep.Tools, toolReport{
-			Tool:    tool.Name(),
-			Events:  int64(len(tr)),
-			Races:   raceReportsDetailed(races, tr, details),
-			Stats:   st,
-			Health:  healthJSON(health),
-			Metrics: snap,
-		})
-	}
-	if len(races) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runStream analyzes the trace incrementally with the full pipeline
-// attached (validation policy, live metrics, progress reporting) and
-// returns the process exit code.
-func runStream(path, toolName string, g fasttrack.Granularity, policy fasttrack.Policy,
-	sampleRate float64, validate, stats, jsonWanted, provenance bool, jsonPath string, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
-
-	tool, err := fasttrack.NewTool(toolName, fasttrack.Hints{Provenance: provenance})
-	if err != nil {
-		fatal(err)
-	}
-	applySampleRate(tool, sampleRate)
-	r, closeFn, err := openInput(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeFn()
-
-	reg := obs.NewRegistry()
-	ms.attach(reg)
-	d := rr.NewDispatcher(tool)
-	d.Granularity = g
-	d.Policy = policy
-	d.Obs = reg
-
-	// Feasibility checking (the batch -validate semantics) applies only
-	// under PolicyOff; a validating policy performs its own online checks.
-	var feas *trace.Validator
-	if policy == fasttrack.PolicyOff && validate {
-		feas = trace.NewValidator()
-	}
-
-	sc := trace.NewScanner(r)
-	prog := newProgress(reg)
-	var feasErr error
-	for sc.Scan() {
-		e := sc.Event()
-		if feas != nil {
-			if err := feas.Event(e); err != nil {
-				feasErr = err
-				break
-			}
-		}
-		d.Event(e)
-		// Progress/metrics refresh on a coarse event-count grid so the
-		// hot loop stays cheap between ticks.
-		if d.Fed&8191 == 0 {
-			prog.maybeTick(d.Fed, tool)
-		}
-	}
-	if policy == fasttrack.PolicyOff {
-		// Historical batch-equivalent behavior: feasibility or decode
-		// errors abort before any report is printed.
-		if feasErr != nil {
-			fatal(feasErr)
-		}
-		if sc.Err() != nil {
-			fatal(sc.Err())
-		}
-	}
-
-	races := tool.Races()
-	health := d.Health()
-	st := tool.Stats()
-	d.FillStats(&st)
-	rr.PublishStats(reg, "tool", st)
-	reg.Gauge("tool.races").Set(int64(len(races)))
-	prog.final(d.Fed, len(races), st.ShadowBytes)
-
-	var details []fasttrack.DetailedReport
-	if provenance {
-		if dt, ok := tool.(rr.DetailedTool); ok {
-			details = dt.DetailedRaces()
-		}
-	}
-
-	printReport(humanOut, tool, races, st, stats)
-	printDetails(humanOut, details)
-	if policy != fasttrack.PolicyOff {
-		printHealth(humanOut, health)
-	}
-	fmt.Fprintf(humanOut, "(%d events, streamed)\n", sc.Index())
-
-	if jsonWanted {
-		rep.Tools = append(rep.Tools, toolReport{
-			Tool:    tool.Name(),
-			Events:  d.Fed,
-			Races:   raceReportsDetailed(races, nil, details),
-			Stats:   st,
-			Health:  healthJSON(health),
-			Metrics: reg.Snapshot(),
-		})
-	}
-
-	if sc.Err() != nil {
-		finishJSON(jsonWanted, rep, jsonPath)
-		fatal(sc.Err())
-	}
-	if health.Err != nil {
-		finishJSON(jsonWanted, rep, jsonPath)
-		fatal(fmt.Errorf("strict validation: %w", health.Err))
-	}
-	if len(races) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // progress emits periodic one-line status reports on stderr during
 // streaming runs and refreshes the tool.* gauges so a live /metrics
 // scrape sees detector state, not only dispatcher counters.
 type progress struct {
-	reg        *obs.Registry
 	start      time.Time
 	last       time.Time
 	lastEvents int64
@@ -506,23 +452,20 @@ type progress struct {
 // progressInterval is the minimum wall-clock spacing of progress lines.
 const progressInterval = time.Second
 
-func newProgress(reg *obs.Registry) *progress {
+func newProgress() *progress {
 	now := time.Now()
-	return &progress{reg: reg, start: now, last: now}
+	return &progress{start: now, last: now}
 }
 
-func (p *progress) maybeTick(events int64, tool fasttrack.Tool) {
+func (p *progress) maybeTick(events int64, mon *fasttrack.Monitor) {
 	now := time.Now()
 	if now.Sub(p.last) < progressInterval {
 		return
 	}
-	st := tool.Stats()
-	races := len(tool.Races())
-	rr.PublishStats(p.reg, "tool", st)
-	p.reg.Gauge("tool.races").Set(int64(races))
+	snap := mon.Metrics() // publishes tool.*
 	rate := float64(events-p.lastEvents) / now.Sub(p.last).Seconds()
 	fmt.Fprintf(os.Stderr, "racedetect: progress events=%d rate=%.0f/s races=%d shadowBytes=%d\n",
-		events, rate, races, st.ShadowBytes)
+		events, rate, snap.Gauge("tool.races"), snap.Gauge("tool.shadowBytes"))
 	p.last = now
 	p.lastEvents = events
 	p.ticked = true
@@ -530,7 +473,7 @@ func (p *progress) maybeTick(events int64, tool fasttrack.Tool) {
 
 // final prints a closing progress line (only if any were printed, so
 // short runs stay quiet) with the whole-run average rate.
-func (p *progress) final(events int64, races int, shadowBytes int64) {
+func (p *progress) final(events int64, mon *fasttrack.Monitor) {
 	if !p.ticked {
 		return
 	}
@@ -539,8 +482,9 @@ func (p *progress) final(events int64, races int, shadowBytes int64) {
 	if el > 0 {
 		rate = float64(events) / el
 	}
+	snap := mon.Metrics()
 	fmt.Fprintf(os.Stderr, "racedetect: done events=%d avgRate=%.0f/s races=%d shadowBytes=%d\n",
-		events, rate, races, shadowBytes)
+		events, rate, snap.Gauge("tool.races"), snap.Gauge("tool.shadowBytes"))
 }
 
 // finishJSON emits the run report when requested.
@@ -664,8 +608,8 @@ func printReport(w io.Writer, tool fasttrack.Tool, races []fasttrack.Report, st 
 	if stats {
 		fmt.Fprintf(w, "  events=%d reads=%d writes=%d syncs=%d vcAlloc=%d vcOps=%d shadowBytes=%d\n",
 			st.Events, st.Reads, st.Writes, st.Syncs, st.VCAlloc, st.VCOp, st.ShadowBytes)
-		if st.MemSqueezes > 0 || st.MemCoarse > 0 {
-			fmt.Fprintf(w, "  membudget: squeezes=%d coarseAccesses=%d\n", st.MemSqueezes, st.MemCoarse)
+		if st.MemSqueezes > 0 {
+			fmt.Fprintf(w, "  membudget: squeezes=%d\n", st.MemSqueezes)
 		}
 		rr.FprintOpsMix(w, tool.Name(), st)
 	}

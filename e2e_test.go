@@ -2,9 +2,12 @@ package fasttrack_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +115,64 @@ func TestEndToEndPipeline(t *testing.T) {
 	lines := strings.Count(strings.TrimSpace(string(min)), "\n") + 1
 	if lines > 4 {
 		t.Errorf("minimized witness has %d events, want <= 4:\n%s", lines, min)
+	}
+}
+
+// TestRacedetectModesAgree: every local replay mode ingests through the
+// same Monitor, so apart from its trailer line each prints exactly the
+// default run's report; under -policy repair a feasible trace only adds
+// the pipeline health line. The -json race lists of the default
+// (whole-trace) and -batch 64 runs match too.
+func TestRacedetectModesAgree(t *testing.T) {
+	trailer := regexp.MustCompile(`(?m)^\(\d+ events(, streamed| via [^)]*)\)\n`)
+	dir := t.TempDir()
+	for _, w := range []string{"tsp", "hedc"} {
+		tracePath := filepath.Join(dir, w+".bin")
+		if out, code := run(t, "tracegen", "-workload", w, "-scale", "0.2", "-format", "binary", "-o", tracePath); code != 0 {
+			t.Fatalf("tracegen %s failed (%d): %s", w, code, out)
+		}
+		want, wantCode := run(t, "racedetect", tracePath)
+		if wantCode != 1 {
+			t.Fatalf("%s: default run exit = %d, want 1 (seeded race):\n%s", w, wantCode, want)
+		}
+		for _, flags := range [][]string{
+			{"-stream"},
+			{"-batch", "64"},
+			{"-policy", "repair"},
+			{"-policy", "repair", "-batch", "64"},
+		} {
+			out, code := run(t, "racedetect", append(flags, tracePath)...)
+			got := trailer.ReplaceAllString(out, "")
+			expect := want
+			if flags[0] == "-policy" {
+				expect += "  pipeline: healthy\n"
+			}
+			if code != wantCode || got != expect {
+				t.Errorf("%s %v: exit %d, output differs from the default run (exit %d):\n%s\nwant:\n%s", w, flags, code, wantCode, out, expect)
+			}
+		}
+
+		races := func(flags ...string) any {
+			t.Helper()
+			path := filepath.Join(dir, "report.json")
+			if out, code := run(t, "racedetect", append(flags, "-json.file", path, tracePath)...); code != wantCode {
+				t.Fatalf("%s %v -json.file: exit %d:\n%s", w, flags, code, out)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Tools []struct{ Races any }
+			}
+			if err := json.Unmarshal(data, &rep); err != nil || len(rep.Tools) != 1 {
+				t.Fatalf("%s %v: bad report (%v):\n%s", w, flags, err, data)
+			}
+			return rep.Tools[0].Races
+		}
+		if def, batched := races(), races("-batch", "64"); !reflect.DeepEqual(def, batched) {
+			t.Errorf("%s: -json race lists differ:\ndefault:   %v\n-batch 64: %v", w, def, batched)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fasttrack/internal/rr"
-	"fasttrack/internal/vc"
-)
+import "fasttrack/internal/vc"
 
 // This file implements the detector's shadow-memory budget: an optional
 // byte ceiling under which FastTrack degrades precision instead of
@@ -17,11 +14,16 @@ import (
 //     forgotten readers may be missed; nothing unsound is reported,
 //     because the kept component already satisfied R_x(t) <= C_t(t)
 //     (the Appendix A invariants are preserved).
-//  2. Coarse fallback: if squeezing is not enough, locations not yet
-//     shadowed are folded rr.FieldsPerObject-to-one into per-object
-//     shadow locations, as under Coarse granularity. This bounds new
-//     growth at the cost of possible false sharing on new locations;
-//     already-shadowed locations keep their precise state.
+//  2. Stop shadowing: if squeezing is not enough, the shadow table
+//     stops growing. Locations at or past the fold point (the table's
+//     length when this rung fired) are no longer analyzed: their
+//     accesses are counted in SampledOut, exactly as the sampling tier
+//     counts a skipped access, so Stats.DetectionProbability says how
+//     much of the run went unchecked. Locations shadowed before the
+//     fold keep their precise state. A skipped access can only mask a
+//     race, never invent one; folding fresh locations into shared
+//     per-object slots, as Coarse granularity does, would report races
+//     between accesses to different locations.
 //
 // The footprint is re-checked every budgetCheckInterval accesses, so
 // between checks the footprint can overshoot by the shadow cost of that
@@ -34,38 +36,24 @@ const budgetCheckInterval = 1024
 // SetMemoryBudget caps the detector's shadow footprint at the given
 // number of bytes (0 disables the budget). The cap is enforced by
 // degrading precision, never by aborting; see Stats.MemSqueezes and
-// Stats.MemCoarse for how often each rung fired.
+// Stats.SampledOut for what each rung cost.
 func (d *Detector) SetMemoryBudget(bytes int64) {
 	if bytes > 0 && len(d.stripes) > 1 {
-		// The coarse fallback remaps variable ids, which would move
-		// variables across stripes behind the stripe locks' back.
+		// The squeeze walks the serial layout's one stripe.
 		panic("core: memory budget is incompatible with sharding")
 	}
 	d.budget = bytes
 }
 
-// budgetAccess remaps an accessed variable under the budget's coarse
-// fallback and periodically re-checks the footprint. Called from the
-// read/write handlers only when a budget is set, which implies the
-// serial layout's one stripe.
-func (d *Detector) budgetAccess(x uint64) uint64 {
+// budgetAccess periodically re-checks the footprint and reports whether
+// variable x is still shadowed. Called from the read/write handlers'
+// slot resolution only when a budget is set, which implies the serial
+// layout's one stripe.
+func (d *Detector) budgetAccess(x uint64) bool {
 	if st := &d.serial[0].st; (st.Reads+st.Writes)%budgetCheckInterval == 0 {
 		d.enforceBudget()
 	}
-	if mapped := d.budgetVar(x); mapped != x {
-		d.st.MemCoarse++
-		return mapped
-	}
-	return x
-}
-
-// budgetVar applies the coarse-fallback remap to a variable id without
-// counting anything.
-func (d *Detector) budgetVar(x uint64) uint64 {
-	if d.coarseFrom == 0 || x < d.coarseFrom {
-		return x
-	}
-	return d.coarseFrom + (x-d.coarseFrom)/rr.FieldsPerObject
+	return d.foldAt == 0 || x < d.foldAt
 }
 
 // enforceBudget walks the degradation ladder until the footprint is
@@ -98,13 +86,10 @@ func (d *Detector) enforceBudget() {
 	if d.footprint() <= d.budget {
 		return
 	}
-	// Rung 2: fold locations not yet shadowed into coarse shadow
-	// locations. Locations below coarseFrom keep their precise state.
-	if d.coarseFrom == 0 {
-		d.coarseFrom = uint64(len(s.tab.r))
-		if d.coarseFrom == 0 {
-			d.coarseFrom = 1
-		}
+	// Rung 2: stop shadowing locations the table does not hold yet.
+	// Locations below foldAt keep their precise state.
+	if d.foldAt == 0 {
+		d.foldAt = max(uint64(len(s.tab.r)), 1)
 	}
 }
 

@@ -36,11 +36,8 @@ func TestMemoryBudgetSqueezesReadShared(t *testing.T) {
 	if st.MemSqueezes == 0 {
 		t.Fatal("budget pressure never squeezed a read-shared vector clock")
 	}
-	if st.MemCoarse == 0 {
-		t.Fatal("budget pressure never engaged the coarse fallback")
-	}
-	if d.coarseFrom == 0 {
-		t.Fatal("coarseFrom not set under an impossible budget")
+	if st.SampledOut == 0 || st.DetectionProbability() >= 1 {
+		t.Fatalf("budget pressure never stopped shadowing fresh locations (SampledOut %d)", st.SampledOut)
 	}
 }
 
@@ -48,8 +45,8 @@ func TestMemoryBudgetBoundsNewGrowth(t *testing.T) {
 	d := New(0, 0)
 	d.SetMemoryBudget(64 << 10)
 	i := feedBudget(d, 4000)
-	// Past the fold point, consecutive fresh locations share folded
-	// shadow slots, so the var table grows FieldsPerObject times slower.
+	// Past the fold point fresh locations are no longer shadowed, so the
+	// var table stops growing.
 	d.HandleEvent(i, trace.Wr(0, 100000))
 	i++
 	before := len(d.stripes[0].tab.r)
@@ -58,12 +55,12 @@ func TestMemoryBudgetBoundsNewGrowth(t *testing.T) {
 		i++
 	}
 	st := d.Stats()
-	if st.MemCoarse == 0 {
-		t.Fatalf("coarse fallback never fired (footprint %d, %d vars)", d.footprint(), len(d.stripes[0].tab.r))
+	if st.SampledOut == 0 {
+		t.Fatalf("budget never stopped shadowing (footprint %d, %d vars)", d.footprint(), len(d.stripes[0].tab.r))
 	}
 	grew := len(d.stripes[0].tab.r) - before
 	if grew > 8000/rr.FieldsPerObject+1 {
-		t.Fatalf("var table grew by %d for 8000 fresh locations; coarse fallback not bounding growth", grew)
+		t.Fatalf("var table grew by %d for 8000 fresh locations; budget not bounding growth", grew)
 	}
 }
 
@@ -71,10 +68,17 @@ func TestMemoryBudgetKeepsDetecting(t *testing.T) {
 	d := New(0, 0)
 	d.SetMemoryBudget(1)
 	i := feedBudget(d, 2000)
-	// A planted unsynchronized write-write race after heavy degradation.
-	target := uint64(500000)
-	d.HandleEvent(i, trace.Wr(1, target))
-	d.HandleEvent(i+1, trace.Wr(2, target))
+	// A planted unsynchronized write-write race after heavy degradation,
+	// on a location shadowed before the fold. The barrier orders the
+	// location's earlier concurrent reads, so the planted writes are its
+	// first race.
+	target := uint64(7)
+	if target >= d.foldAt {
+		t.Fatalf("fold point %d: location %d not shadowed before the fold", d.foldAt, target)
+	}
+	d.HandleEvent(i, trace.Barrier(1, 0, 1, 2))
+	d.HandleEvent(i+1, trace.Wr(1, target))
+	d.HandleEvent(i+2, trace.Wr(2, target))
 	found := false
 	for _, r := range d.Races() {
 		if r.Kind == rr.WriteWrite && r.Tid == 2 {
@@ -86,11 +90,40 @@ func TestMemoryBudgetKeepsDetecting(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetInventsNoRaces: a race-free trace stays race-free
+// under a tight budget. Threads 1 and 2 write disjoint fresh locations
+// after the budget has stopped growing the shadow table; folding those
+// locations into shared per-object slots used to report write-write
+// races on ids neither thread touched.
+func TestMemoryBudgetInventsNoRaces(t *testing.T) {
+	var tr trace.Trace
+	tr = append(tr, trace.ForkOf(0, 1), trace.ForkOf(0, 2))
+	for x := uint64(0); x < 2048; x++ {
+		tr = append(tr, trace.Wr(0, x))
+	}
+	for i := uint64(0); i < 512; i++ {
+		tr = append(tr, trace.Wr(1, 4096+2*i), trace.Wr(2, 4097+2*i))
+	}
+	d := New(0, 0)
+	d.SetMemoryBudget(4096)
+	for i, e := range tr {
+		d.HandleEvent(i, e)
+	}
+	if races := d.Races(); len(races) != 0 {
+		t.Fatalf("budget invented %d race(s) on a race-free trace, first %v", len(races), races[0])
+	}
+	st := d.Stats()
+	if st.SampledOut == 0 || st.DetectionProbability() >= 1 {
+		t.Fatalf("unshadowed accesses not reported: SampledOut %d, detection probability %.3f",
+			st.SampledOut, st.DetectionProbability())
+	}
+}
+
 func TestMemoryBudgetOffByDefault(t *testing.T) {
 	d := New(0, 0)
 	feedBudget(d, 500)
 	st := d.Stats()
-	if st.MemSqueezes != 0 || st.MemCoarse != 0 {
+	if st.MemSqueezes != 0 || st.SampledOut != 0 {
 		t.Fatalf("degradation counters nonzero without a budget: %+v", st)
 	}
 }

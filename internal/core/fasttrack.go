@@ -238,11 +238,10 @@ type Detector struct {
 
 	// Memory budget (see budget.go): when budget > 0 the detector keeps
 	// its shadow footprint under budget bytes by degrading precision —
-	// first squeezing read vector clocks back to epochs, then folding
-	// locations at or above coarseFrom into coarse (per-object) shadow
-	// locations.
-	budget     int64
-	coarseFrom uint64
+	// first squeezing read vector clocks back to epochs, then no longer
+	// analyzing locations at or above foldAt (0 until that rung fires).
+	budget int64
+	foldAt uint64
 
 	// extendedSameEpoch enables the extended [FT READ SAME EPOCH] rule
 	// the paper describes (Section 3, "Read Operations"): it additionally
@@ -459,10 +458,10 @@ func (d *Detector) HandleFilter(i int, e trace.Event) bool {
 	switch e.Kind {
 	case trace.Read:
 		d.read(i, e.Tid, e.Target, false)
-		return d.flaggedOf(d.budgetVar(e.Target))
+		return d.flaggedOf(e.Target)
 	case trace.Write:
 		d.write(i, e.Tid, e.Target, false)
-		return d.flaggedOf(d.budgetVar(e.Target))
+		return d.flaggedOf(e.Target)
 	default:
 		d.HandleEvent(i, e)
 		return true
@@ -498,7 +497,9 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 	}
 	slot := int(x)
 	if !s.tab.dense || d.budget > 0 || int(tid) >= len(d.threads) {
-		slot = d.resolve(s, x, tid)
+		if slot = d.resolve(s, x, tid); slot < 0 {
+			return
+		}
 	} else if x >= uint64(len(s.tab.r)) {
 		s.tab.growDense(slot + 1)
 	}
@@ -555,14 +556,15 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 }
 
 // resolve is the access handlers' out-of-line slot resolution for a
-// hashed stripe, a memory budget or a thread's first access: the budget's
-// coarse remap (serial only, so the remapped variable stays on stripe s),
-// the thread's materialization, and the table lookup. The handlers
-// resolve the common dense case themselves, keeping the fast path
-// call-free.
+// hashed stripe, a memory budget or a thread's first access: the budget
+// check, the thread's materialization, and the table lookup. It returns
+// -1, having counted the access in SampledOut, for a location the budget
+// no longer shadows. The handlers resolve the common dense case
+// themselves, keeping the fast path call-free.
 func (d *Detector) resolve(s *stripeState, x uint64, tid int32) int {
-	if d.budget > 0 {
-		x = d.budgetAccess(x)
+	if d.budget > 0 && !d.budgetAccess(x) {
+		s.st.SampledOut++
+		return -1
 	}
 	if int(tid) >= len(d.threads) {
 		d.thread(tid)
@@ -584,7 +586,9 @@ func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
 	}
 	slot := int(x)
 	if !s.tab.dense || d.budget > 0 || int(tid) >= len(d.threads) {
-		slot = d.resolve(s, x, tid)
+		if slot = d.resolve(s, x, tid); slot < 0 {
+			return
+		}
 	} else if x >= uint64(len(s.tab.w)) {
 		s.tab.growDense(slot + 1)
 	}

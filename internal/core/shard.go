@@ -277,9 +277,8 @@ type stripeState struct {
 // hashed stripes, implementing rr.ShardedTool. n < 2 keeps the serial
 // dense layout. It must be called on a fresh detector: remapping
 // already-populated shadow state across stripes is not supported. The
-// shadow-memory budget is incompatible with sharding — its coarse
-// fallback remaps variable ids, which would silently move a variable to
-// a different stripe than the one the caller locked.
+// shadow-memory budget is incompatible with sharding — its squeeze walks
+// the serial layout's one stripe.
 func (d *Detector) EnableSharding(n int) {
 	if n < 2 {
 		return

@@ -49,7 +49,6 @@ func PublishStats(reg *obs.Registry, prefix string, st Stats) {
 	set("dropped", st.Dropped, false)
 	set("unheldReleases", st.UnheldReleases, false)
 	set("memSqueezes", st.MemSqueezes, false)
-	set("memCoarse", st.MemCoarse, false)
 }
 
 // obsMetrics caches the dispatcher's metric handles so the per-event

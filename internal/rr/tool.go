@@ -158,11 +158,11 @@ type Stats struct {
 	// Memory-budget degradation, maintained by detectors that support a
 	// shadow-memory budget (FastTrack).
 	MemSqueezes int64 `json:"memSqueezes,omitempty"` // read vector clocks forcibly squeezed to epochs
-	MemCoarse   int64 `json:"memCoarse,omitempty"`   // accesses remapped to coarse shadowing by the budget
 
 	// SampledOut counts accesses skipped by the sampling tier (see
-	// Sampled): they are included in Reads/Writes/Events but received no
-	// shadow-state maintenance. DetectionProbability derives from it.
+	// Sampled) or left unshadowed by the memory budget: they are included
+	// in Reads/Writes/Events but received no shadow-state maintenance.
+	// DetectionProbability derives from it.
 	SampledOut int64 `json:"sampledOut,omitempty"`
 
 	// ClockSaturations counts increments of a thread clock that had
@@ -274,7 +274,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Dropped += o.Dropped
 	s.UnheldReleases += o.UnheldReleases
 	s.MemSqueezes += o.MemSqueezes
-	s.MemCoarse += o.MemCoarse
 	s.SampledOut += o.SampledOut
 	s.ClockSaturations += o.ClockSaturations
 }

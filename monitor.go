@@ -36,16 +36,11 @@ type Monitor struct {
 	disp   *rr.Dispatcher
 	reg    *obs.Registry
 	onRace func(Report)
-	seen   int
 	tids   *threadIDs // lazy; see Monitor.MainThread
 
 	// cfg is the configuration the monitor was built with, kept so Reset
 	// can rebuild an identical pipeline. Immutable after NewMonitor.
 	cfg monitorConfig
-	// shardedMode mirrors cfg.shards > 1; immutable after NewMonitor so
-	// the lock-free routing check in event() never races with Close
-	// (which nils the mutable sharding state under the write lock).
-	shardedMode bool
 
 	// Lifecycle (see Close/Reset). closed is guarded by mu (write under
 	// Lock, read under RLock or Lock); final holds the terminal snapshot
@@ -54,10 +49,13 @@ type Monitor struct {
 	final    *monitorFinal
 	rejected atomic.Int64 // events rejected after Close
 
-	// Sharded ingestion (WithShards > 1); all nil/zero in serial mode.
-	sharded rr.ShardedTool
+	// stripes holds one lock and race-drain cursor per ingestion stripe.
+	// Its length is the stripe count, fixed by NewMonitor (1 is the
+	// serial path), so the lock-free routing in IngestBatch cannot race
+	// with Close or Reset, which only clear the elements. ensured and sm
+	// serve the striped path only (see shard.go).
 	stripes []stripeLock
-	ensured atomic.Int32 // threads-materialized watermark, see access()
+	ensured atomic.Int32 // threads-materialized watermark, see accessRun
 	sm      *shardMetrics
 }
 
@@ -147,16 +145,34 @@ func NewMonitor(opts ...MonitorOption) *Monitor {
 			panic(err)
 		}
 	}
-	d := rr.NewDispatcher(tool)
-	d.Granularity = cfg.granularity
-	d.Policy = cfg.policy
-	reg := obs.NewRegistry()
-	d.Obs = reg
-	m := &Monitor{disp: d, reg: reg, onRace: cfg.onRace, cfg: cfg, shardedMode: cfg.shards > 1}
-	if cfg.shards > 1 {
-		m.enableSharding(tool, cfg)
+	m := &Monitor{reg: obs.NewRegistry(), onRace: cfg.onRace, cfg: cfg, stripes: make([]stripeLock, max(cfg.shards, 1))}
+	if len(m.stripes) > 1 {
+		m.enableSharding(tool)
 	}
+	m.start(tool)
 	return m
+}
+
+// start installs a fresh pipeline around tool: a dispatcher configured
+// from cfg and feeding the monitor's registry, and zeroed stripes and
+// lifecycle state. NewMonitor and Reset share it. The caller holds the
+// write lock or has not published m yet.
+func (m *Monitor) start(tool Tool) {
+	d := rr.NewDispatcher(tool)
+	d.Granularity = m.cfg.granularity
+	d.Policy = m.cfg.policy
+	d.Obs = m.reg
+	m.disp = d
+	m.closed = false
+	m.final = nil
+	m.rejected.Store(0)
+	clear(m.stripes)
+	if len(m.stripes) > 1 {
+		tool.(rr.ShardedTool).EnableSharding(len(m.stripes))
+		d.SetConcurrent()
+		m.ensured.Store(0)
+		m.resetShardMetricsLocked()
+	}
 }
 
 // Close finalizes the monitor: it snapshots the warnings, statistics,
@@ -186,10 +202,8 @@ func (m *Monitor) Close() error {
 	}
 	m.closed = true
 	// Drop the pipeline so the shadow state is collectable. Every event
-	// and query path checks closed under the lock before touching these.
+	// and query path checks closed under the lock before touching it.
 	m.disp = nil
-	m.sharded = nil
-	m.stripes = nil
 	return nil
 }
 
@@ -220,50 +234,7 @@ func (m *Monitor) Reset() error {
 	if err != nil {
 		return err
 	}
-	d := rr.NewDispatcher(tool)
-	d.Granularity = m.cfg.granularity
-	d.Policy = m.cfg.policy
-	d.Obs = m.reg
-	m.disp = d
-	m.seen = 0
-	m.closed = false
-	m.final = nil
-	m.rejected.Store(0)
-	if m.shardedMode {
-		st := tool.(rr.ShardedTool)
-		st.EnableSharding(m.cfg.shards)
-		d.SetConcurrent()
-		m.sharded = st
-		m.stripes = make([]stripeLock, m.cfg.shards)
-		m.ensured.Store(0)
-		m.resetShardMetricsLocked()
-	}
-	return nil
-}
-
-// event feeds one event under the appropriate lock and fires the race
-// callback for any new warnings. It returns ErrMonitorClosed after
-// Close.
-func (m *Monitor) event(e trace.Event) error {
-	if m.shardedMode {
-		if e.Kind == trace.Read || e.Kind == trace.Write {
-			return m.access(e)
-		}
-		return m.syncEvent(e)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		m.rejected.Add(1)
-		return ErrMonitorClosed
-	}
-	m.disp.Event(e)
-	if m.onRace != nil {
-		races := m.tool().Races()
-		for ; m.seen < len(races); m.seen++ {
-			m.onRace(races[m.seen])
-		}
-	}
+	m.start(tool)
 	return nil
 }
 
@@ -272,8 +243,11 @@ func (m *Monitor) event(e trace.Event) error {
 // point for feeding recorded traces into a live monitor, e.g. from the
 // CLI, the scaling benchmarks, or the racedetectd ingestion service. It
 // returns ErrMonitorClosed once the monitor has been closed and nil
-// otherwise.
-func (m *Monitor) Ingest(e trace.Event) error { return m.event(e) }
+// otherwise. It is a one-event IngestBatch.
+func (m *Monitor) Ingest(e trace.Event) error {
+	_, err := m.IngestBatch([]trace.Event{e})
+	return err
+}
 
 // IngestBatch records a batch of pre-encoded trace events in order and
 // returns how many were ingested. It is semantically identical to
@@ -282,113 +256,153 @@ func (m *Monitor) Ingest(e trace.Event) error { return m.event(e) }
 // serial monitor takes its lock once per batch, and the sharded monitor
 // partitions each run of consecutive accesses by stripe so one read
 // lock and one stripe-lock acquisition cover a whole same-stripe run
-// (sync events inside the batch flush as full-exclusion barriers, in
-// order). Race callbacks are drained once per batch/stripe-run rather
-// than per event, still in report order.
+// (each run of sync events inside the batch flushes as one
+// full-exclusion barrier, in order). Race callbacks are drained once per
+// batch/stripe-run rather than per event, still in report order.
 //
 // After Close the returned count n may be short: events[:n] were
 // ingested, the rest were rejected (and counted in Rejected), and the
 // error is ErrMonitorClosed. A batch can only be cut at a lock
 // boundary, so the serial path ingests all of the batch or none of it;
-// the sharded path can be cut between an access run and a sync event.
+// the sharded path can be cut between an access run and a sync run.
 func (m *Monitor) IngestBatch(events []trace.Event) (int, error) {
-	if len(events) == 0 {
-		return 0, nil
+	n := 0
+	for n < len(events) {
+		run, striped := m.nextRun(events[n:])
+		var err error
+		if striped {
+			err = m.accessRun(run)
+		} else {
+			err = m.exclusive(run)
+		}
+		if err != nil {
+			m.rejected.Add(int64(len(events) - n))
+			return n, err
+		}
+		n += len(run)
 	}
-	if m.shardedMode {
-		return m.ingestBatchSharded(events)
+	return n, nil
+}
+
+// nextRun splits the next lock-sized run off the head of a non-empty
+// batch: on the serial path the whole batch, otherwise the maximal run
+// of accesses (delivered striped) or of sync events (delivered under
+// full exclusion, as a serialization barrier).
+func (m *Monitor) nextRun(events []trace.Event) (run []trace.Event, striped bool) {
+	if len(m.stripes) == 1 {
+		return events, false
 	}
+	acc := events[0].Kind.IsAccess()
+	j := 1
+	for j < len(events) && events[j].Kind.IsAccess() == acc {
+		j++
+	}
+	return events[:j], acc
+}
+
+// exclusive delivers events under the write lock: every batch of the
+// serial path, and the striped path's sync runs and access runs by
+// threads the detector has not materialized yet. It is the only place
+// events are delivered under full exclusion.
+func (m *Monitor) exclusive(events []trace.Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		m.rejected.Add(int64(len(events)))
-		return 0, ErrMonitorClosed
+		return ErrMonitorClosed
 	}
 	m.disp.EventBatch(events)
+	if len(m.stripes) > 1 {
+		// Fork/join/barrier (and any first event of a tid) can
+		// materialize threads; publish the new watermark so their later
+		// accesses take the striped path. The striped path skips
+		// per-event registry updates; bring the live rr.* counters back
+		// in step while we hold full exclusion.
+		m.ensured.Store(int32(m.disp.Tool.(rr.ShardedTool).ThreadsMaterialized()))
+		m.disp.SyncObs()
+	}
 	if m.onRace != nil {
-		races := m.tool().Races()
-		for ; m.seen < len(races); m.seen++ {
-			m.onRace(races[m.seen])
+		for s := range m.stripes {
+			m.drainStripe(s)
 		}
 	}
-	return len(events), nil
+	return nil
 }
 
 // Read records a read of location addr by thread tid.
-func (m *Monitor) Read(tid int32, addr uint64) { m.event(trace.Rd(tid, addr)) }
+func (m *Monitor) Read(tid int32, addr uint64) { m.Ingest(trace.Rd(tid, addr)) }
 
 // Write records a write of location addr by thread tid.
-func (m *Monitor) Write(tid int32, addr uint64) { m.event(trace.Wr(tid, addr)) }
+func (m *Monitor) Write(tid int32, addr uint64) { m.Ingest(trace.Wr(tid, addr)) }
 
 // Acquire records that thread tid acquired lock l. Re-entrant acquires
 // are filtered automatically.
-func (m *Monitor) Acquire(tid int32, l uint64) { m.event(trace.Acq(tid, l)) }
+func (m *Monitor) Acquire(tid int32, l uint64) { m.Ingest(trace.Acq(tid, l)) }
 
 // Release records that thread tid released lock l.
-func (m *Monitor) Release(tid int32, l uint64) { m.event(trace.Rel(tid, l)) }
+func (m *Monitor) Release(tid int32, l uint64) { m.Ingest(trace.Rel(tid, l)) }
 
 // Fork records that thread tid started thread child. Call it before the
 // child's first operation.
-func (m *Monitor) Fork(tid, child int32) { m.event(trace.ForkOf(tid, child)) }
+func (m *Monitor) Fork(tid, child int32) { m.Ingest(trace.ForkOf(tid, child)) }
 
 // Join records that thread tid joined on thread child. Call it after the
 // child's last operation.
-func (m *Monitor) Join(tid, child int32) { m.event(trace.JoinOf(tid, child)) }
+func (m *Monitor) Join(tid, child int32) { m.Ingest(trace.JoinOf(tid, child)) }
 
 // VolatileRead records a read of volatile (atomic) location v.
-func (m *Monitor) VolatileRead(tid int32, v uint64) { m.event(trace.VRd(tid, v)) }
+func (m *Monitor) VolatileRead(tid int32, v uint64) { m.Ingest(trace.VRd(tid, v)) }
 
 // VolatileWrite records a write of volatile (atomic) location v.
-func (m *Monitor) VolatileWrite(tid int32, v uint64) { m.event(trace.VWr(tid, v)) }
+func (m *Monitor) VolatileWrite(tid int32, v uint64) { m.Ingest(trace.VWr(tid, v)) }
 
 // WaitBegin records that thread tid started waiting on lock l (it must
 // hold l); per the paper's Section 4 it behaves as a release of l.
 func (m *Monitor) WaitBegin(tid int32, l uint64) {
-	m.event(trace.Event{Kind: trace.Wait, Tid: tid, Target: l})
+	m.Ingest(trace.Event{Kind: trace.Wait, Tid: tid, Target: l})
 }
 
 // WaitEnd records that thread tid woke up from a wait on lock l; it
 // behaves as a re-acquisition of l.
 func (m *Monitor) WaitEnd(tid int32, l uint64) {
-	m.event(trace.Acq(tid, l))
+	m.Ingest(trace.Acq(tid, l))
 }
 
 // Notify records a notify on lock l; it induces no happens-before edge.
 func (m *Monitor) Notify(tid int32, l uint64) {
-	m.event(trace.Event{Kind: trace.Notify, Tid: tid, Target: l})
+	m.Ingest(trace.Event{Kind: trace.Notify, Tid: tid, Target: l})
 }
 
 // BarrierRelease records that the given threads were simultaneously
 // released from barrier b.
 func (m *Monitor) BarrierRelease(b uint64, tids ...int32) {
-	m.event(trace.Barrier(b, tids...))
+	m.Ingest(trace.Barrier(b, tids...))
 }
 
 // ChanSend records that thread tid sent on channel ch (capacity cap).
 // Record it immediately before the send operation, so the k-th send
 // event precedes the k-th receive event in the monitor's serialization.
 func (m *Monitor) ChanSend(tid int32, ch uint64, capacity int32) {
-	m.event(trace.ChSend(tid, ch, capacity))
+	m.Ingest(trace.ChSend(tid, ch, capacity))
 }
 
 // ChanRecv records that thread tid received from channel ch (capacity
 // cap). Record it immediately after the receive completes.
 func (m *Monitor) ChanRecv(tid int32, ch uint64, capacity int32) {
-	m.event(trace.ChRecv(tid, ch, capacity))
+	m.Ingest(trace.ChRecv(tid, ch, capacity))
 }
 
 // ChanClose records that thread tid closed channel ch (capacity cap).
 // Record it immediately before the close operation.
 func (m *Monitor) ChanClose(tid int32, ch uint64, capacity int32) {
-	m.event(trace.ChClose(tid, ch, capacity))
+	m.Ingest(trace.ChClose(tid, ch, capacity))
 }
 
 // TxBegin marks the start of an atomic block of thread tid, consumed by
 // the downstream atomicity checkers; race detectors ignore it.
-func (m *Monitor) TxBegin(tid int32) { m.event(trace.Event{Kind: trace.TxBegin, Tid: tid}) }
+func (m *Monitor) TxBegin(tid int32) { m.Ingest(trace.Event{Kind: trace.TxBegin, Tid: tid}) }
 
 // TxEnd marks the end of thread tid's current atomic block.
-func (m *Monitor) TxEnd(tid int32) { m.event(trace.Event{Kind: trace.TxEnd, Tid: tid}) }
+func (m *Monitor) TxEnd(tid int32) { m.Ingest(trace.Event{Kind: trace.TxEnd, Tid: tid}) }
 
 // SetSamplingRate changes the wrapped detector's sampling rate — the
 // fraction of the variable space analyzed at full fidelity (see the

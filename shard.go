@@ -44,179 +44,49 @@ type stripeLock struct {
 // namespace).
 type shardMetrics struct {
 	slow     *obs.Counter // accesses through the full-lock slow path
-	inflight *obs.Gauge   // accesses currently inside the striped section
+	inflight *obs.Gauge   // access runs currently inside the striped section
 	peak     *obs.Gauge   // high-water mark of inflight
 }
 
 // WithShards enables lock-striped concurrent ingestion with n stripes.
-// n <= 1 (the default) keeps the serial path: one lock, arrival-order
-// delivery, race callbacks in report order. With n > 1, accesses to
-// variables on different stripes are checked in parallel by the calling
-// goroutines; the reported race set (variable, kind) is exactly the
-// serial one, but report indices reflect a particular legal interleaving
-// and WithRaceHandler callbacks are ordered only within a stripe.
+// n <= 1 (the default) keeps the serial path, which is the one-stripe
+// case: one lock, arrival-order delivery, race callbacks in report
+// order. With n > 1, accesses to variables on different stripes are
+// checked in parallel by the calling goroutines; the reported race set
+// (variable, kind) is exactly the serial one, but report indices
+// reflect a particular legal interleaving and WithRaceHandler callbacks
+// are ordered only within a stripe.
 //
 // Sharding requires a detector that implements ShardedTool (FastTrack
 // does), no stream validation (WithValidation must stay PolicyOff — the
-// validator is inherently sequential), and no memory budget (its coarse
-// fallback would remap variables across stripes). NewMonitor panics on
-// any of these conflicts: they are configuration errors.
+// validator is inherently sequential), and no memory budget (its squeeze
+// walks the serial layout's one stripe). NewMonitor panics on any of
+// these conflicts: they are configuration errors.
 func WithShards(n int) MonitorOption {
 	return func(c *monitorConfig) { c.shards = n }
 }
 
-// enableSharding wires the striped path up at NewMonitor time.
-func (m *Monitor) enableSharding(tool Tool, cfg monitorConfig) {
-	st, ok := tool.(rr.ShardedTool)
-	if !ok {
+// enableSharding checks the striped path's requirements and registers
+// its metrics at NewMonitor time; start then switches the tool and
+// dispatcher to striped delivery.
+func (m *Monitor) enableSharding(tool Tool) {
+	n := len(m.stripes)
+	if _, ok := tool.(rr.ShardedTool); !ok {
 		panic(fmt.Sprintf("fasttrack: WithShards(%d): tool %q does not support sharded ingestion",
-			cfg.shards, tool.Name()))
+			n, tool.Name()))
 	}
-	if cfg.policy != PolicyOff {
+	if m.cfg.policy != PolicyOff {
 		panic("fasttrack: WithShards is incompatible with WithValidation (the stream validator is sequential)")
 	}
-	if cfg.hints.MemoryBudget > 0 {
+	if m.cfg.hints.MemoryBudget > 0 {
 		panic("fasttrack: WithShards is incompatible with a memory budget")
 	}
-	st.EnableSharding(cfg.shards)
-	m.disp.SetConcurrent()
-	m.sharded = st
-	m.stripes = make([]stripeLock, cfg.shards)
 	m.sm = &shardMetrics{
 		slow:     m.reg.Counter("monitor.sharded.slowPath"),
 		inflight: m.reg.Gauge("monitor.sharded.inflight"),
 		peak:     m.reg.Gauge("monitor.sharded.maxInflight"),
 	}
-	m.reg.Gauge("monitor.sharded.shards").Set(int64(cfg.shards))
-}
-
-// access delivers one Read/Write event on the striped fast path, or on
-// the full-lock slow path when the accessing thread is not yet known to
-// the detector.
-func (m *Monitor) access(e trace.Event) error {
-	// The watermark only grows, and thread states are never moved once
-	// materialized, so a stale read here errs toward the slow path only.
-	if e.Tid < 0 || e.Tid >= m.ensured.Load() {
-		return m.slowAccess(e)
-	}
-	m.mu.RLock()
-	// The mutable sharding state (disp, stripes) is released by Close;
-	// it may only be touched after the closed check under the lock.
-	if m.closed {
-		m.mu.RUnlock()
-		m.rejected.Add(1)
-		return ErrMonitorClosed
-	}
-	s := rr.StripeOf(m.disp.MapVar(e.Target), len(m.stripes))
-
-	// The parallelism gauges are sampled (~1/64 of accesses, decided by a
-	// per-call predicate so the increment and decrement pair up): updating
-	// a shared atomic on every access would reintroduce exactly the
-	// cross-core cache-line traffic striping exists to avoid. The gauge's
-	// own atomic is the single source of truth — each sampled access adds
-	// a delta on entry and subtracts it on exit, so concurrent samples
-	// cannot interleave a stale Set over a fresher count.
-	sampled := e.Target&63 == 0
-	if sampled {
-		m.sm.peak.Max(m.sm.inflight.Add(1))
-	}
-
-	sl := &m.stripes[s]
-	if !sl.TryLock() {
-		sl.Lock()
-		sl.contended++
-	}
-	sl.accesses++
-	m.disp.Event(e)
-	if m.onRace != nil {
-		m.drainStripe(s, sl)
-	}
-	sl.Unlock()
-	m.mu.RUnlock()
-
-	if sampled {
-		m.sm.inflight.Add(-1)
-	}
-	return nil
-}
-
-// slowAccess delivers an access under full exclusion so the detector may
-// materialize the accessing thread's state, then advances the watermark.
-func (m *Monitor) slowAccess(e trace.Event) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		m.rejected.Add(1)
-		return ErrMonitorClosed
-	}
-	m.sm.slow.Inc()
-	m.disp.Event(e)
-	m.ensured.Store(int32(m.sharded.ThreadsMaterialized()))
-	m.disp.SyncObs()
-	if m.onRace != nil {
-		s := rr.StripeOf(m.disp.MapVar(e.Target), len(m.stripes))
-		m.drainStripe(s, &m.stripes[s])
-	}
-	return nil
-}
-
-// syncEvent delivers a synchronization event under full exclusion — it
-// mutates thread/lock clocks that every stripe's access path reads.
-func (m *Monitor) syncEvent(e trace.Event) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		m.rejected.Add(1)
-		return ErrMonitorClosed
-	}
-	m.disp.Event(e)
-	// Fork/join/barrier (and any first event of a tid) can materialize
-	// threads; publish the new watermark so their later accesses take
-	// the fast path.
-	m.ensured.Store(int32(m.sharded.ThreadsMaterialized()))
-	// The striped access path skips per-event registry updates; bring
-	// the live rr.* counters back in step while we hold full exclusion.
-	m.disp.SyncObs()
-	return nil
-}
-
-// ingestBatchSharded is IngestBatch's striped implementation. It walks
-// the batch as an alternation of access runs and sync events: each
-// maximal run of consecutive Read/Write events is delivered through
-// accessRun (one RWMutex.RLock, one lock acquisition per touched
-// stripe), and each sync event flushes through syncEvent as a
-// serialization barrier, exactly where it sat in the batch. A batch is
-// therefore cut only at run/sync boundaries when Close intervenes, and
-// the accepted prefix count n is exact.
-func (m *Monitor) ingestBatchSharded(events []trace.Event) (int, error) {
-	n := 0
-	for n < len(events) {
-		if k := events[n].Kind; k == trace.Read || k == trace.Write {
-			j := n + 1
-			for j < len(events) {
-				if k := events[j].Kind; k != trace.Read && k != trace.Write {
-					break
-				}
-				j++
-			}
-			accepted, err := m.accessRun(events[n:j])
-			n += accepted
-			if err != nil {
-				// The failing helper counted one rejection; account for
-				// the rest of the batch so accepted + Rejected adds up
-				// to the number of events offered.
-				m.rejected.Add(int64(len(events) - n - 1))
-				return n, err
-			}
-		} else {
-			if err := m.syncEvent(events[n]); err != nil {
-				m.rejected.Add(int64(len(events) - n - 1))
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
+	m.reg.Gauge("monitor.sharded.shards").Set(int64(n))
 }
 
 // batchPartition is the reusable scratch state for partitioning one
@@ -250,32 +120,62 @@ var batchScratch = sync.Pool{New: func() any { return new(batchPartition) }}
 
 // accessRun delivers one run of consecutive Read/Write events on the
 // striped path: partition by stripe, then one lock acquisition (and one
-// race-callback drain) per touched stripe instead of per event. A run
-// containing an access by a thread the detector has not materialized
-// falls back to slowRun under full exclusion. Runs are all-or-nothing:
+// race-callback drain) per touched stripe instead of per event. A
+// one-event run goes straight to its stripe. A run containing an access
+// by a thread the detector has not materialized goes through exclusive,
+// so the detector may grow its thread table. Runs are all-or-nothing:
 // the only failure point is the closed check before any delivery.
-func (m *Monitor) accessRun(run []trace.Event) (int, error) {
+func (m *Monitor) accessRun(run []trace.Event) error {
+	// The watermark only grows, and thread states are never moved once
+	// materialized, so a stale read here errs toward exclusive only.
 	w := m.ensured.Load()
 	for i := range run {
 		if run[i].Tid < 0 || run[i].Tid >= w {
-			return m.slowRun(run)
+			if err := m.exclusive(run); err != nil {
+				return err
+			}
+			m.sm.slow.Add(int64(len(run)))
+			return nil
 		}
 	}
 	m.mu.RLock()
+	// The pipeline is released by Close; it may only be touched after the
+	// closed check under the lock.
 	if m.closed {
 		m.mu.RUnlock()
-		m.rejected.Add(1)
-		return 0, ErrMonitorClosed
+		return ErrMonitorClosed
 	}
 
-	// Sample the parallelism gauges once per run (see access); batching
-	// already amortizes the cost, but keeping the sampled discipline
-	// keeps the gauge's meaning comparable across both paths.
+	// The parallelism gauges are sampled (~1/64 of runs, decided by a
+	// per-call predicate so the increment and decrement pair up): updating
+	// a shared atomic on every run would reintroduce exactly the
+	// cross-core cache-line traffic striping exists to avoid. The gauge's
+	// own atomic is the single source of truth — each sampled run adds a
+	// delta on entry and subtracts it on exit, so concurrent samples
+	// cannot interleave a stale Set over a fresher count.
 	sampled := run[0].Target&63 == 0
 	if sampled {
 		m.sm.peak.Max(m.sm.inflight.Add(1))
 	}
 
+	nStripes := len(m.stripes)
+	if len(run) == 1 {
+		m.deliverSegment(rr.StripeOf(m.disp.MapVar(run[0].Target), nStripes), run)
+	} else {
+		m.partition(run)
+	}
+	m.mu.RUnlock()
+
+	if sampled {
+		m.sm.inflight.Add(-1)
+	}
+	return nil
+}
+
+// partition delivers a multi-event access run stripe by stripe, in a
+// stable order within each stripe. Caller holds the RWMutex in read
+// mode.
+func (m *Monitor) partition(run []trace.Event) {
 	nStripes := len(m.stripes)
 	p := batchScratch.Get().(*batchPartition)
 	p.grow(len(run), nStripes)
@@ -319,12 +219,6 @@ func (m *Monitor) accessRun(run []trace.Event) (int, error) {
 		clear(p.events)
 	}
 	batchScratch.Put(p)
-	m.mu.RUnlock()
-
-	if sampled {
-		m.sm.inflight.Add(-1)
-	}
-	return len(run), nil
 }
 
 // deliverSegment feeds one stripe's segment of an access run under that
@@ -338,38 +232,25 @@ func (m *Monitor) deliverSegment(s int, seg []trace.Event) {
 	sl.accesses += int64(len(seg))
 	m.disp.AccessBatch(seg)
 	if m.onRace != nil {
-		m.drainStripe(s, sl)
+		m.drainStripe(s)
 	}
 	sl.Unlock()
 }
 
-// slowRun delivers a whole access run under full exclusion so the
-// detector may materialize any unseen threads, then advances the
-// watermark — the batch analogue of slowAccess.
-func (m *Monitor) slowRun(run []trace.Event) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		m.rejected.Add(1)
-		return 0, ErrMonitorClosed
+// drainStripe fires the race callback for stripe s's new warnings: on
+// the serial path the tool's whole race list, on the striped path the
+// stripe's own. Caller holds stripe lock s or the full write lock; the
+// stripe's drain cursor is guarded by the same.
+func (m *Monitor) drainStripe(s int) {
+	var races []Report
+	if len(m.stripes) == 1 {
+		races = m.tool().Races()
+	} else {
+		// The dispatcher never swaps its Tool field under concurrent
+		// delivery, so this is the detector even after a downgrade.
+		races = m.disp.Tool.(rr.ShardedTool).StripeRaces(s)
 	}
-	m.sm.slow.Add(int64(len(run)))
-	m.disp.EventBatch(run)
-	m.ensured.Store(int32(m.sharded.ThreadsMaterialized()))
-	m.disp.SyncObs()
-	if m.onRace != nil {
-		for s := range m.stripes {
-			m.drainStripe(s, &m.stripes[s])
-		}
-	}
-	return len(run), nil
-}
-
-// drainStripe fires the race callback for stripe s's new warnings.
-// Caller holds stripe lock s or the full write lock; sl.seen is guarded
-// by the same.
-func (m *Monitor) drainStripe(s int, sl *stripeLock) {
-	races := m.sharded.StripeRaces(s)
+	sl := &m.stripes[s]
 	for ; sl.seen < len(races); sl.seen++ {
 		m.onRace(races[sl.seen])
 	}
@@ -379,7 +260,7 @@ func (m *Monitor) drainStripe(s int, sl *stripeLock) {
 // registry. Caller holds the full write lock (which orders it after all
 // stripe-locked updates).
 func (m *Monitor) publishShardMetricsLocked() {
-	if m.sharded == nil {
+	if len(m.stripes) == 1 {
 		return
 	}
 	m.disp.SyncObs()
@@ -404,11 +285,6 @@ func (m *Monitor) resetShardMetricsLocked() {
 }
 
 // Shards returns the number of ingestion stripes (1 in serial mode).
-// It answers from the immutable configuration so it stays correct (and
-// lock-free) after Close releases the stripe state.
-func (m *Monitor) Shards() int {
-	if !m.shardedMode {
-		return 1
-	}
-	return m.cfg.shards
-}
+// The count is fixed at construction, so it stays correct (and
+// lock-free) after Close.
+func (m *Monitor) Shards() int { return len(m.stripes) }

@@ -132,9 +132,10 @@ type Hints struct {
 	// MemoryBudget caps FastTrack's shadow-memory footprint at the given
 	// number of bytes. Under pressure the detector degrades precision
 	// instead of growing: read vector clocks are squeezed back to epochs
-	// first, then new locations fall back to coarse (per-object)
-	// shadowing. Degradation is counted in Stats.MemSqueezes and
-	// Stats.MemCoarse. Zero means unbounded; other detectors ignore it.
+	// first, then locations not yet shadowed stop being analyzed.
+	// Degradation is counted in Stats.MemSqueezes and Stats.SampledOut
+	// (which Stats.DetectionProbability reports). Zero means unbounded;
+	// other detectors ignore it.
 	MemoryBudget int64
 	// SampleRate starts FastTrack's sampling tier at the given rate in
 	// (0, 1): only that fraction of the variable space receives full
