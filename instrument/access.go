@@ -165,7 +165,7 @@ func (r *rewriter) accessCall(op string, e ast.Expr) ast.Stmt {
 	} else {
 		r.stats.Writes++
 	}
-	return r.shimStmt(op, addrOf(e))
+	return r.record(op, addrOf(e))
 }
 
 // readRecords walks an expression and returns the read records for
@@ -174,7 +174,34 @@ func (r *rewriter) accessCall(op string, e ast.Expr) ast.Stmt {
 // the statement runs). Function literal bodies are excluded — they run
 // later, and rewriteFuncLits handles them.
 func (r *rewriter) readRecords(e ast.Expr) (pre, post []ast.Stmt) {
-	var walk func(e ast.Expr)
+	var walk, inside func(e ast.Expr)
+	// inside walks the loads that locating e performs, other than e
+	// itself: indices, and the pointers and slices the path goes
+	// through. An array-typed base of an element is part of the
+	// element's own location, not a load of its own: recording it would
+	// read the whole array at element 0's address.
+	inside = func(e ast.Expr) {
+		switch x := stripParens(e).(type) {
+		case *ast.Ident:
+		case *ast.StarExpr:
+			walk(x.X)
+		case *ast.IndexExpr:
+			walk(x.Index)
+			if _, ok := r.baseType(x.X).(*types.Array); ok {
+				inside(x.X)
+			} else if _, ok := x.X.(*ast.Ident); !ok {
+				walk(x.X)
+			}
+		case *ast.SelectorExpr:
+			if _, ok := r.baseType(x.X).(*types.Pointer); ok {
+				walk(x.X)
+			} else {
+				inside(x.X)
+			}
+		default:
+			walk(x)
+		}
+	}
 	walk = func(e ast.Expr) {
 		switch e := stripParens(e).(type) {
 		case nil, *ast.BasicLit, *ast.FuncLit:
@@ -182,19 +209,14 @@ func (r *rewriter) readRecords(e ast.Expr) (pre, post []ast.Stmt) {
 			if c := r.accessCall("R", e); c != nil {
 				pre = append(pre, c)
 			}
-			// Indices and non-recorded bases may contain further reads.
-			switch x := e.(type) {
-			case *ast.StarExpr:
-				walk(x.X)
-			case *ast.IndexExpr:
-				walk(x.Index)
-				if _, ok := x.X.(*ast.Ident); !ok {
-					walk(x.X)
-				}
+			// A field read is recorded on its own; indices and
+			// dereferenced pointers contain further reads.
+			if _, ok := e.(*ast.SelectorExpr); !ok {
+				inside(e)
 			}
 		case *ast.UnaryExpr:
 			if e.Op == token.ARROW {
-				post = append(post, r.shimStmt("ChanRecv", e.X))
+				post = append(post, gStmt("ChanRecv", e.X))
 				r.stats.ChanOps++
 				walk(e.X)
 				break
@@ -319,23 +341,23 @@ func (r *rewriter) syncRecords(op string, recv ast.Expr) (pre, post []ast.Stmt) 
 	r.stats.SyncOps++
 	switch op {
 	case "Lock":
-		post = []ast.Stmt{r.shimStmt("Acquire", recv)}
+		post = []ast.Stmt{r.record("Acquire", recv)}
 	case "Unlock":
-		pre = []ast.Stmt{r.shimStmt("Release", recv)}
+		pre = []ast.Stmt{r.record("Release", recv)}
 	case "RWLock":
-		post = []ast.Stmt{r.shimStmt("AcquireRW", recv)}
+		post = []ast.Stmt{r.record("AcquireRW", recv)}
 	case "RWUnlock":
-		pre = []ast.Stmt{r.shimStmt("ReleaseRW", recv)}
+		pre = []ast.Stmt{r.record("ReleaseRW", recv)}
 	case "RLock":
-		post = []ast.Stmt{r.shimStmt("RAcquire", recv)}
+		post = []ast.Stmt{r.record("RAcquire", recv)}
 	case "RUnlock":
-		pre = []ast.Stmt{r.shimStmt("RRelease", recv)}
+		pre = []ast.Stmt{r.record("RRelease", recv)}
 	case "WGDone":
-		pre = []ast.Stmt{r.shimStmt("WGDone", recv)}
+		pre = []ast.Stmt{r.record("WGDone", recv)}
 	case "WGWait":
-		post = []ast.Stmt{r.shimStmt("WGWait", recv)}
+		post = []ast.Stmt{r.record("WGWait", recv)}
 	case "OnceDo":
-		post = []ast.Stmt{r.shimStmt("OnceDo", recv)}
+		post = []ast.Stmt{r.record("OnceDo", recv)}
 	}
 	return pre, post
 }

@@ -53,6 +53,10 @@ const shimImport = "fasttrack/instrument/rt"
 // leading underscores keep it out of the way of user identifiers.
 const shimName = "__ft"
 
+// gName is the identifier an instrumented function body binds its
+// goroutine's shim state to (rt.Self, or rt.Begin in a go statement).
+const gName = shimName + "_g"
+
 // Options configures an instrumentation run.
 type Options struct {
 	// ModuleDir is the root of the fasttrack module (the directory

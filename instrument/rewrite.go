@@ -14,17 +14,21 @@ type rewriter struct {
 	pkg     *types.Package
 	escaped map[*types.Var]bool // locals whose address may be shared
 	visited map[*ast.BlockStmt]bool
-	used    bool // current file references the shim
-	stats   Stats
+	// deferred marks the wrappers around deferred sync calls: they run
+	// on the declaring goroutine, so they use its __ft_g.
+	deferred map[*ast.FuncLit]bool
+	used     bool // current file references the shim
+	stats    Stats
 }
 
 func newRewriter(fset *token.FileSet, info *types.Info, pkg *types.Package) *rewriter {
 	return &rewriter{
-		fset:    fset,
-		info:    info,
-		pkg:     pkg,
-		escaped: map[*types.Var]bool{},
-		visited: map[*ast.BlockStmt]bool{},
+		fset:     fset,
+		info:     info,
+		pkg:      pkg,
+		escaped:  map[*types.Var]bool{},
+		visited:  map[*ast.BlockStmt]bool{},
+		deferred: map[*ast.FuncLit]bool{},
 	}
 }
 
@@ -94,8 +98,34 @@ func (r *rewriter) shimCall(name string, args ...ast.Expr) *ast.CallExpr {
 	}
 }
 
-func (r *rewriter) shimStmt(name string, args ...ast.Expr) ast.Stmt {
-	return &ast.ExprStmt{X: r.shimCall(name, args...)}
+// record builds the statement __ft.Name(__ft_g, args...): a shim
+// function recording on the enclosing function's goroutine.
+func (r *rewriter) record(name string, args ...ast.Expr) ast.Stmt {
+	return &ast.ExprStmt{X: r.shimCall(name, append([]ast.Expr{ast.NewIdent(gName)}, args...)...)}
+}
+
+// gCall builds __ft_g.Name(args...): a method of the enclosing
+// function's goroutine state.
+func gCall(name string, args ...ast.Expr) *ast.CallExpr {
+	return &ast.CallExpr{
+		Fun:  &ast.SelectorExpr{X: ast.NewIdent(gName), Sel: ast.NewIdent(name)},
+		Args: args,
+	}
+}
+
+// gStmt is gCall as a statement.
+func gStmt(name string, args ...ast.Expr) ast.Stmt {
+	return &ast.ExprStmt{X: gCall(name, args...)}
+}
+
+// bindG builds __ft_g := __ft.Name(args...), the prologue that binds a
+// function body's goroutine state.
+func (r *rewriter) bindG(name string, args ...ast.Expr) ast.Stmt {
+	return &ast.AssignStmt{
+		Lhs: []ast.Expr{ast.NewIdent(gName)},
+		Tok: token.DEFINE,
+		Rhs: []ast.Expr{r.shimCall(name, args...)},
+	}
 }
 
 // addrOf returns &e with positions stripped so the printer lays the
@@ -117,9 +147,8 @@ func clearPos(e ast.Expr) ast.Expr { return e }
 func (r *rewriter) rewriteFile(f *ast.File, isMain bool) {
 	r.used = false
 	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if ok && fd.Body != nil {
-			r.rewriteBlock(fd.Body)
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			r.rewriteFunc(fd.Body)
 		}
 	}
 	if isMain {
@@ -139,6 +168,38 @@ func (r *rewriter) rewriteFile(f *ast.File, isMain bool) {
 		f.Decls = append([]ast.Decl{&ast.GenDecl{Tok: token.IMPORT, Specs: []ast.Spec{spec}}}, f.Decls...)
 		f.Imports = append(f.Imports, spec)
 	}
+}
+
+// rewriteFunc instruments one function body, declared or literal, and
+// binds its goroutine state once at entry (__ft_g := __ft.Self()) when
+// the body records anything outside its nested function literals. A
+// body always runs on one goroutine, so one lookup serves every record
+// in it; a literal binds its own, since it may run on another goroutine
+// (a go statement, time.AfterFunc, t.Run).
+func (r *rewriter) rewriteFunc(body *ast.BlockStmt) {
+	if body == nil || r.visited[body] {
+		return
+	}
+	r.rewriteBlock(body)
+	if r.usesG(body) {
+		body.List = append([]ast.Stmt{r.bindG("Self")}, body.List...)
+	}
+}
+
+// usesG reports whether body refers to its function's __ft_g: it
+// looks into no function literal but the deferred sync wrappers.
+func (r *rewriter) usesG(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return r.deferred[n]
+		case *ast.Ident:
+			found = found || n.Name == gName
+		}
+		return !found
+	})
+	return found
 }
 
 // rewriteBlock replaces the block's statement list with the
@@ -165,7 +226,7 @@ func (r *rewriter) rewriteFuncLits(n ast.Node) {
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			r.rewriteBlock(lit.Body)
+			r.rewriteFunc(lit.Body)
 		}
 		return true
 	})
@@ -195,7 +256,7 @@ func (r *rewriter) rewriteStmt(s ast.Stmt, out *[]ast.Stmt) {
 		p2, post2 := r.readRecords(s.Value)
 		pre = append(pre, p2...)
 		*out = append(*out, pre...)
-		*out = append(*out, r.shimStmt("ChanSend", s.Chan))
+		*out = append(*out, gStmt("ChanSend", s.Chan))
 		r.stats.ChanOps++
 		*out = append(*out, s)
 		*out = append(*out, post...)
@@ -331,7 +392,7 @@ func (r *rewriter) rewriteAssign(s *ast.AssignStmt, out *[]ast.Stmt) {
 			pre, _ := r.readRecords(u.X)
 			*out = append(*out, pre...)
 			*out = append(*out, s)
-			*out = append(*out, r.shimStmt("ChanRecv", u.X))
+			*out = append(*out, gStmt("ChanRecv", u.X))
 			r.stats.ChanOps++
 			for _, l := range s.Lhs {
 				if c := r.accessCall("W", l); c != nil {
@@ -386,7 +447,7 @@ func (r *rewriter) rewriteExprStmt(s *ast.ExprStmt, out *[]ast.Stmt) {
 		pre, _ := r.readRecords(u.X)
 		*out = append(*out, pre...)
 		*out = append(*out, s)
-		*out = append(*out, r.shimStmt("ChanRecv", u.X))
+		*out = append(*out, gStmt("ChanRecv", u.X))
 		r.stats.ChanOps++
 		return
 	}
@@ -400,7 +461,7 @@ func (r *rewriter) rewriteExprStmt(s *ast.ExprStmt, out *[]ast.Stmt) {
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "close" && r.isBuiltin(id) && len(call.Args) == 1 {
 		pre, _ := r.readRecords(call.Args[0])
 		*out = append(*out, pre...)
-		*out = append(*out, r.shimStmt("ChanClose", call.Args[0]))
+		*out = append(*out, gStmt("ChanClose", call.Args[0]))
 		r.stats.ChanOps++
 		*out = append(*out, s)
 		return
@@ -426,7 +487,11 @@ func (r *rewriter) rewriteExprStmt(s *ast.ExprStmt, out *[]ast.Stmt) {
 // rewriteGo turns a go statement into a forked, registered goroutine.
 //
 //	go func(...){ body }(args)   becomes
-//	go func(__ft_parent int32, ...) { __ft.Begin(__ft_parent); defer __ft.End(); body }(__ft.Fork(), args)
+//	go func(__ft_parent int32, ...) {
+//		__ft_g := __ft.Begin(__ft_parent)
+//		defer __ft_g.End()
+//		body
+//	}(__ft_g.Fork(), args)
 //
 // preserving the parent-side evaluation of the arguments. A named
 // callee is wrapped in a literal instead, moving its evaluation into
@@ -435,32 +500,32 @@ func (r *rewriter) rewriteGo(s *ast.GoStmt, out *[]ast.Stmt) {
 	r.stats.Forks++
 	parent := ast.NewIdent(shimName + "_parent")
 	prologue := []ast.Stmt{
-		r.shimStmt("Begin", ast.NewIdent(parent.Name)),
-		&ast.DeferStmt{Call: r.shimCall("End")},
+		r.bindG("Begin", ast.NewIdent(parent.Name)),
+		&ast.DeferStmt{Call: gCall("End")},
 	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
+	field := &ast.Field{Names: []*ast.Ident{parent}, Type: ast.NewIdent("int32")}
+	lit, ok := s.Call.Fun.(*ast.FuncLit)
+	if ok {
 		r.rewriteBlock(lit.Body)
-		field := &ast.Field{Names: []*ast.Ident{parent}, Type: ast.NewIdent("int32")}
 		lit.Type.Params.List = append([]*ast.Field{field}, lit.Type.Params.List...)
 		lit.Body.List = append(prologue, lit.Body.List...)
-		s.Call.Args = append([]ast.Expr{r.shimCall("Fork")}, s.Call.Args...)
-		*out = append(*out, s)
-		return
+	} else {
+		r.rewriteFuncLits(s.Call)
+		lit = &ast.FuncLit{
+			Type: &ast.FuncType{Params: &ast.FieldList{List: []*ast.Field{field}}},
+			Body: &ast.BlockStmt{List: append(prologue, &ast.ExprStmt{X: s.Call})},
+		}
+		r.visited[lit.Body] = true
+		s.Call = &ast.CallExpr{Fun: lit}
 	}
-	r.rewriteFuncLits(s.Call)
-	wrapper := &ast.FuncLit{
-		Type: &ast.FuncType{Params: &ast.FieldList{List: []*ast.Field{
-			{Names: []*ast.Ident{parent}, Type: ast.NewIdent("int32")},
-		}}},
-		Body: &ast.BlockStmt{List: append(prologue, &ast.ExprStmt{X: s.Call})},
-	}
-	r.visited[wrapper.Body] = true
-	s.Call = &ast.CallExpr{Fun: wrapper, Args: []ast.Expr{r.shimCall("Fork")}}
+	s.Call.Args = append([]ast.Expr{gCall("Fork")}, s.Call.Args...)
 	*out = append(*out, s)
 }
 
 // rewriteDefer wraps deferred sync operations so their records are
-// emitted when the defer runs, not when it is declared.
+// emitted when the defer runs, not when it is declared. The wrapper
+// runs on the declaring goroutine, so it records through the
+// enclosing function's __ft_g.
 func (r *rewriter) rewriteDefer(s *ast.DeferStmt, out *[]ast.Stmt) {
 	r.rewriteFuncLits(s)
 	if op, recv := r.syncOp(s.Call); op != "" {
@@ -471,6 +536,7 @@ func (r *rewriter) rewriteDefer(s *ast.DeferStmt, out *[]ast.Stmt) {
 			Body: &ast.BlockStmt{List: body},
 		}
 		r.visited[wrapper.Body] = true
+		r.deferred[wrapper] = true
 		s.Call = &ast.CallExpr{Fun: wrapper}
 	}
 	*out = append(*out, s)
@@ -483,7 +549,7 @@ func (r *rewriter) rewriteRange(s *ast.RangeStmt, out *[]ast.Stmt) {
 	if t, ok := r.info.Types[s.X]; ok {
 		if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
 			var top []ast.Stmt
-			top = append(top, r.shimStmt("ChanRecv", s.X))
+			top = append(top, gStmt("ChanRecv", s.X))
 			r.stats.ChanOps++
 			if s.Key != nil {
 				if c := r.accessCall("W", s.Key); c != nil {
@@ -511,17 +577,17 @@ func (r *rewriter) rewriteSelect(s *ast.SelectStmt) {
 		var top []ast.Stmt
 		switch comm := cc.Comm.(type) {
 		case *ast.SendStmt:
-			top = append(top, r.shimStmt("ChanSend", comm.Chan))
+			top = append(top, gStmt("ChanSend", comm.Chan))
 			r.stats.ChanOps++
 		case *ast.ExprStmt:
 			if u, ok := comm.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				top = append(top, r.shimStmt("ChanRecv", u.X))
+				top = append(top, gStmt("ChanRecv", u.X))
 				r.stats.ChanOps++
 			}
 		case *ast.AssignStmt:
 			if len(comm.Rhs) == 1 {
 				if u, ok := comm.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					top = append(top, r.shimStmt("ChanRecv", u.X))
+					top = append(top, gStmt("ChanRecv", u.X))
 					r.stats.ChanOps++
 					for _, l := range comm.Lhs {
 						if c := r.accessCall("W", l); c != nil {
