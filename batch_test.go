@@ -53,11 +53,10 @@ func replayEvents(tr trace.Trace, shards int, opts ...MonitorOption) ([]Report, 
 }
 
 // assertBatchEquivalent checks IngestBatch against per-event Ingest on
-// one trace at every batch size. On the serial path delivery order is
-// identical, so the reports must match exactly, index for index. On the
-// sharded path a batch's accesses are delivered stripe by stripe — a
-// legal interleaving — so the (variable, kind) race multiset, stats,
-// and health must match, but indices may not.
+// one trace at every batch size: reports, index for index, stats and
+// health must match. On the sharded path a batch's accesses are
+// delivered stripe by stripe — a legal interleaving — but each under
+// its arrival index, so the reports still match exactly.
 func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace, shards int) {
 	t.Helper()
 	wantRaces, wantStats, wantHealth := replayEvents(tr, shards)
@@ -65,12 +64,8 @@ func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace, shards in
 	for _, batch := range batchSizes {
 		got, gotStats, gotHealth := replayBatch(t, tr, shards, batch)
 		name := fmt.Sprintf("%s/shards=%d/batch=%d", label, shards, batch)
-		if shards <= 1 {
-			if !reflect.DeepEqual(got, wantRaces) {
-				t.Errorf("%s: races = %v, want %v", name, got, wantRaces)
-			}
-		} else if want := raceSet(wantRaces); !reflect.DeepEqual(raceSet(got), want) {
-			t.Errorf("%s: race set = %v, want %v", name, raceSet(got), want)
+		if !reflect.DeepEqual(got, wantRaces) {
+			t.Errorf("%s: races = %v, want %v", name, got, wantRaces)
 		}
 		gotStats.ShadowBytes = 0
 		if gotStats != wantStats {

@@ -21,10 +21,14 @@
 //
 // Every local run ingests through a fasttrack.Monitor, the same
 // pipeline racedetectd sessions and the instrumentation shim's local sink
-// use: a loaded trace goes to Monitor.IngestBatch whole, or in -batch
-// chunks; -stream feeds it chunk by chunk as the Scanner decodes it; and
-// -shards N replays through the lock-striped Monitor. -explain and
-// -chaos keep their own paths.
+// use, in one two-stage pipeline: a decode goroutine scans the trace (and,
+// under -policy off, checks its feasibility) into fixed-size chunks, and
+// the main goroutine feeds each chunk to Monitor.IngestBatch — of every
+// tool's Monitor under -all, so the trace is decoded once. Memory is
+// bounded by a few chunks, not by the trace. -batch N sets the chunk
+// size, and -shards N replays through the lock-striped Monitor. -explain
+// (whose happens-before oracle needs the whole trace) and -chaos keep
+// their own paths.
 //
 // -fidelity trades detection probability for analysis cost: sampled(p)
 // analyzes the fraction p of the variable space (accesses to the rest
@@ -48,8 +52,9 @@
 //	               writes the report to a file instead
 //	-metrics.addr  serves live metrics (JSON at /metrics) and
 //	               net/http/pprof while the run is in flight
-//	-stream        additionally emits periodic progress lines on stderr
-//	               (events processed, rate, races so far, shadow bytes)
+//	-stream        emits periodic progress lines on stderr (events
+//	               processed, rate, races so far, shadow bytes) and a
+//	               closing "(N events, streamed)" line
 package main
 
 import (
@@ -86,11 +91,11 @@ func main() {
 	validate := flag.Bool("validate", true, "check trace feasibility")
 	stats := flag.Bool("stats", false, "print instrumentation statistics and the operation-mix table")
 	explain := flag.Bool("explain", false, "for each FastTrack warning, show both racing accesses and why nothing orders them (implies -tool FastTrack)")
-	stream := flag.Bool("stream", false, "process the trace incrementally without loading it into memory (single tool only)")
+	stream := flag.Bool("stream", false, "print progress lines on stderr and a closing event count (single tool only)")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
 	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
-	shards := flag.Int("shards", 1, "ingest through the lock-striped Monitor with this many stripes (above 1: single tool, -policy off, no -membudget or -stream)")
-	batch := flag.Int("batch", 0, "feed a loaded trace to Monitor.IngestBatch in chunks of this many events (0 = the whole trace in one call)")
+	shards := flag.Int("shards", 1, "ingest through the lock-striped Monitor with this many stripes (above 1: single tool, -policy off, no -membudget)")
+	batch := flag.Int("batch", 0, "feed Monitor.IngestBatch chunks of this many events (0 = 8192)")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
@@ -184,7 +189,8 @@ func main() {
 	rep := &runReport{Schema: runReportSchema, Trace: flag.Arg(0), Stream: *stream}
 	o := &localRun{
 		gran: g, policy: policy, memBudget: *memBudget, shards: *shards, batch: *batch,
-		sampleRate: sampleRate, stats: *stats, jsonWanted: jsonWanted, provenance: *provenance,
+		validate: *validate, stream: *stream, sampleRate: sampleRate, stats: *stats,
+		jsonWanted: jsonWanted, provenance: *provenance,
 		jsonFile: *jsonFile, ms: ms, rep: rep, out: humanOut,
 	}
 
@@ -192,33 +198,28 @@ func main() {
 		fatal(fmt.Errorf("-fidelity samples a single tool's run; drop -all"))
 	}
 
-	if *stream {
-		if *all {
-			fatal(fmt.Errorf("-stream runs a single tool; drop -all"))
-		}
-		if *shards > 1 {
-			fatal(fmt.Errorf("-shards applies to batch ingestion; drop -stream"))
-		}
-		exit := o.stream(flag.Arg(0), *toolName, *validate)
-		finishJSON(jsonWanted, rep, *jsonFile)
-		os.Exit(exit)
-	}
-
-	tr, err := readTrace(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if *validate {
-		if err := tr.Validate(); err != nil {
-			fatal(fmt.Errorf("infeasible trace: %w", err))
-		}
-	}
-
 	if *explain {
+		// The happens-before oracle needs the whole trace.
+		tr, err := readTrace(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		if *validate {
+			if err := tr.Validate(); err != nil {
+				fatal(fmt.Errorf("infeasible trace: %w", err))
+			}
+		}
 		explainRaces(tr, g)
 		return
 	}
 
+	names := []string{*toolName}
+	if *all {
+		if *stream {
+			fatal(fmt.Errorf("-stream runs a single tool; drop -all"))
+		}
+		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
+	}
 	if *shards > 1 {
 		if *all {
 			fatal(fmt.Errorf("-shards runs a single tool; drop -all"))
@@ -230,15 +231,7 @@ func main() {
 			fatal(fmt.Errorf("-shards is incompatible with -membudget"))
 		}
 	}
-
-	names := []string{*toolName}
-	if *all {
-		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
-	}
-	exit := 0
-	for _, name := range names {
-		exit = max(exit, o.replay(tr, name))
-	}
+	exit := o.run(flag.Arg(0), names)
 	finishJSON(jsonWanted, rep, *jsonFile)
 	os.Exit(exit)
 }
@@ -251,6 +244,8 @@ type localRun struct {
 	memBudget  int64
 	shards     int
 	batch      int
+	validate   bool
+	stream     bool
 	sampleRate float64
 	stats      bool
 	jsonWanted bool
@@ -262,10 +257,9 @@ type localRun struct {
 }
 
 // monitor builds the local pipeline for one tool: a Monitor, serial or
-// lock-striped, around a tool constructed from the flags. threads is the
-// thread-count hint (0 when streaming).
-func (o *localRun) monitor(name string, threads int) (*fasttrack.Monitor, fasttrack.Tool) {
-	hints := fasttrack.Hints{Threads: threads, MemoryBudget: o.memBudget, Provenance: o.provenance}
+// lock-striped, around a tool constructed from the flags.
+func (o *localRun) monitor(name string) (*fasttrack.Monitor, fasttrack.Tool) {
+	hints := fasttrack.Hints{MemoryBudget: o.memBudget, Provenance: o.provenance}
 	// The JSON report renders both access sites of each race, which
 	// needs FastTrack's access-history tracking.
 	if o.jsonWanted && name == "FastTrack" {
@@ -292,23 +286,93 @@ func (o *localRun) monitor(name string, threads int) (*fasttrack.Monitor, fasttr
 	return mon, tool
 }
 
-// replay analyzes a loaded trace with one tool, feeding it to
-// IngestBatch in -batch chunks or whole, and returns the exit code.
+// streamChunk is the number of events the decode stage hands the ingest
+// stage at a time when -batch is not set.
+const streamChunk = 8192
+
+// chunkBuffers is the number of chunk buffers the two stages recycle,
+// which bounds the events in memory at chunkBuffers chunks.
+const chunkBuffers = 4
+
+// decoded is what the decode stage leaves once it has handed over its
+// last chunk.
+type decoded struct {
+	kept       trace.Trace // every event, when retained for -json
+	infeasible error       // the first feasibility violation
+	err        error       // the decode error that ended the input
+}
+
+// run analyzes the trace with every named tool and returns the exit
+// code. It is the only local ingestion loop, a two-stage pipeline: a
+// decode goroutine scans the input into fixed-size chunks (-batch N,
+// else streamChunk), and this goroutine feeds each chunk, in order, to
+// every tool's Monitor.IngestBatch. The trace is decoded once and never
+// held whole, except under -json, whose report renders both racing
+// accesses by event index.
+//
 // A file replay is a single feeder, so -shards does not speed the
 // analysis up; it exercises the production concurrent path (striped
 // locking, watermark slow path, reconciled metrics) against a recorded
-// trace, and reports the same race set as the serial path.
-func (o *localRun) replay(tr trace.Trace, name string) int {
-	mon, tool := o.monitor(name, tr.Threads())
-	chunk := o.batch
-	if chunk <= 0 {
-		chunk = len(tr)
+// trace, and reports exactly what the serial path reports.
+func (o *localRun) run(path string, names []string) int {
+	r, closeFn, err := openInput(path)
+	if err != nil {
+		fatal(err)
 	}
-	for i := 0; i < len(tr); i += chunk {
-		mon.IngestBatch(tr[i:min(i+chunk, len(tr))])
+	defer closeFn()
+	mons := make([]*fasttrack.Monitor, len(names))
+	tools := make([]fasttrack.Tool, len(names))
+	for i, name := range names {
+		mons[i], tools[i] = o.monitor(name)
 	}
+
+	size := streamChunk
+	if o.batch > 0 {
+		size = o.batch
+	}
+	// Both channels hold every buffer, so neither stage blocks on a send.
+	full := make(chan []trace.Event, chunkBuffers)
+	free := make(chan []trace.Event, chunkBuffers)
+	for range chunkBuffers {
+		// A huge -batch grows its buffers only as far as the trace does.
+		free <- make([]trace.Event, 0, min(size, streamChunk))
+	}
+	var dec decoded
+	go func() {
+		dec = o.decode(trace.NewScanner(r), size, full, free)
+		close(full)
+	}()
+
+	prog := newProgress()
+	var fed int64
+	for chunk := range full {
+		for _, mon := range mons {
+			mon.IngestBatch(chunk)
+		}
+		fed += int64(len(chunk))
+		if o.stream {
+			prog.maybeTick(fed, mons[0])
+		}
+		free <- chunk[:0]
+	}
+	// The events read before a feasibility or decode error were analyzed
+	// too, as they would have been one by one; under -policy off either
+	// error aborts before any report is printed.
+	if o.policy == fasttrack.PolicyOff {
+		if dec.infeasible != nil {
+			fatal(fmt.Errorf("infeasible trace: %w", dec.infeasible))
+		}
+		if dec.err != nil {
+			fatal(dec.err)
+		}
+	}
+
 	trailer := ""
-	if o.shards > 1 || o.batch > 0 {
+	switch {
+	case o.stream:
+		prog.final(fed, mons[0])
+		trailer = fmt.Sprintf("(%d events, streamed)", fed)
+	case o.shards > 1 || o.batch > 0:
 		mode := "serial monitor"
 		if o.shards > 1 {
 			mode = fmt.Sprintf("%d-stripe monitor", o.shards)
@@ -316,73 +380,53 @@ func (o *localRun) replay(tr trace.Trace, name string) int {
 		if o.batch > 0 {
 			mode += fmt.Sprintf(", batch %d", o.batch)
 		}
-		trailer = fmt.Sprintf("(%d events via %s)", len(tr), mode)
+		trailer = fmt.Sprintf("(%d events via %s)", fed, mode)
 	}
-	return o.report(mon, tool, int64(len(tr)), tr, trailer, nil)
+	exit := 0
+	for i, mon := range mons {
+		exit = max(exit, o.report(mon, tools[i], fed, dec.kept, trailer, dec.err))
+	}
+	return exit
 }
 
-// streamChunk is the number of events -stream decodes before ingesting
-// them as one batch; progress ticks between chunks.
-const streamChunk = 8192
-
-// stream analyzes the trace incrementally, never holding more than one
-// chunk of it in memory, and returns the process exit code.
-func (o *localRun) stream(path, name string, validate bool) int {
-	r, closeFn, err := openInput(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeFn()
-	mon, tool := o.monitor(name, 0)
-
-	// Feasibility checking (the batch -validate semantics) applies only
-	// under PolicyOff; a validating policy performs its own online checks.
+// decode is the pipeline's decode stage. It scans the input, checks
+// feasibility under -policy off with -validate (the checks of
+// Trace.Validate, made online), and sends chunks of size events on full,
+// taking each empty buffer from free. It stops at the end of the input,
+// a decode error or the first infeasible event.
+func (o *localRun) decode(sc *trace.Scanner, size int, full chan<- []trace.Event, free <-chan []trace.Event) decoded {
 	var feas *trace.Validator
-	if o.policy == fasttrack.PolicyOff && validate {
+	if o.policy == fasttrack.PolicyOff && o.validate {
 		feas = trace.NewValidator()
 	}
-
-	sc := trace.NewScanner(r)
-	prog := newProgress()
-	chunk := make([]trace.Event, 0, streamChunk)
-	var fed int64
-	var feasErr error
+	var dec decoded
+	chunk := <-free
 	for sc.Scan() {
 		e := sc.Event()
 		if feas != nil {
-			if feasErr = feas.Event(e); feasErr != nil {
+			if dec.infeasible = feas.Event(e); dec.infeasible != nil {
 				break
 			}
 		}
-		if chunk = append(chunk, e); len(chunk) == streamChunk {
-			mon.IngestBatch(chunk)
-			fed += int64(len(chunk))
-			chunk = chunk[:0]
-			prog.maybeTick(fed, mon)
+		if o.jsonWanted {
+			dec.kept = append(dec.kept, e)
+		}
+		if chunk = append(chunk, e); len(chunk) == size {
+			full <- chunk
+			chunk = <-free
 		}
 	}
-	// The events read before a feasibility or decode error are analyzed
-	// too, as they would have been one by one.
-	mon.IngestBatch(chunk)
-	fed += int64(len(chunk))
-	if o.policy == fasttrack.PolicyOff {
-		// Historical batch-equivalent behavior: feasibility or decode
-		// errors abort before any report is printed.
-		if feasErr != nil {
-			fatal(feasErr)
-		}
-		if sc.Err() != nil {
-			fatal(sc.Err())
-		}
+	if len(chunk) > 0 {
+		full <- chunk
 	}
-	prog.final(fed, mon)
-	return o.report(mon, tool, fed, nil, fmt.Sprintf("(%d events, streamed)", sc.Index()), sc.Err())
+	dec.err = sc.Err()
+	return dec
 }
 
 // report prints one tool's run, closed by trailer when it is not empty,
 // adds it to the JSON report, and returns the exit code. tr renders the
-// racing accesses in JSON (nil when streamed). inputErr, a decode error
-// that cut a streamed run short, fails the run after the report, as a
+// racing accesses in JSON (nil when not retained). inputErr, a decode
+// error that cut the run short, fails the run after the report, as a
 // strict-validation error does.
 func (o *localRun) report(mon *fasttrack.Monitor, tool fasttrack.Tool, events int64, tr trace.Trace, trailer string, inputErr error) int {
 	races := mon.Races()

@@ -3,6 +3,7 @@ package fasttrack_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fasttrack/trace"
 )
 
 // buildOnce compiles the command binaries into a shared temp dir.
@@ -119,10 +122,11 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 // TestRacedetectModesAgree: every local replay mode ingests through the
-// same Monitor, so apart from its trailer line each prints exactly the
-// default run's report; under -policy repair a feasible trace only adds
-// the pipeline health line. The -json race lists of the default
-// (whole-trace) and -batch 64 runs match too.
+// same two-stage pipeline, so apart from its trailer line each prints
+// exactly the default run's report; under -policy repair a feasible
+// trace only adds the pipeline health line, and -all prints each tool's
+// report as that tool's own run does. The -json race lists agree across
+// modes and render both racing accesses from the trace.
 func TestRacedetectModesAgree(t *testing.T) {
 	trailer := regexp.MustCompile(`(?m)^\(\d+ events(, streamed| via [^)]*)\)\n`)
 	dir := t.TempDir()
@@ -138,6 +142,8 @@ func TestRacedetectModesAgree(t *testing.T) {
 		for _, flags := range [][]string{
 			{"-stream"},
 			{"-batch", "64"},
+			{"-shards", "4"},
+			{"-membudget", "1048576"},
 			{"-policy", "repair"},
 			{"-policy", "repair", "-batch", "64"},
 		} {
@@ -152,7 +158,20 @@ func TestRacedetectModesAgree(t *testing.T) {
 			}
 		}
 
-		races := func(flags ...string) any {
+		all, allCode := run(t, "racedetect", "-all", "-stats", tracePath)
+		var each string
+		eachCode := 0
+		for _, tool := range []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"} {
+			out, code := run(t, "racedetect", "-tool", tool, "-stats", tracePath)
+			each += out
+			eachCode = max(eachCode, code)
+		}
+		if allCode != eachCode || all != each {
+			t.Errorf("%s: -all -stats (exit %d) differs from the six single-tool runs (exit %d):\n%s\nwant:\n%s", w, allCode, eachCode, all, each)
+		}
+
+		tr := readTraceFile(t, tracePath)
+		races := func(flags ...string) []map[string]any {
 			t.Helper()
 			path := filepath.Join(dir, "report.json")
 			if out, code := run(t, "racedetect", append(flags, "-json.file", path, tracePath)...); code != wantCode {
@@ -163,16 +182,86 @@ func TestRacedetectModesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rep struct {
-				Tools []struct{ Races any }
+				Tools []struct{ Races []map[string]any }
 			}
 			if err := json.Unmarshal(data, &rep); err != nil || len(rep.Tools) != 1 {
 				t.Fatalf("%s %v: bad report (%v):\n%s", w, flags, err, data)
 			}
 			return rep.Tools[0].Races
 		}
-		if def, batched := races(), races("-batch", "64"); !reflect.DeepEqual(def, batched) {
-			t.Errorf("%s: -json race lists differ:\ndefault:   %v\n-batch 64: %v", w, def, batched)
+		def := races()
+		for _, r := range def {
+			for _, f := range [][2]string{{"index", "access"}, {"prevIndex", "prevAccess"}} {
+				i, _ := r[f[0]].(float64)
+				if got := r[f[1]]; int(i) < 0 || int(i) >= len(tr) || got != tr[int(i)].String() {
+					t.Errorf("%s: -json race %v: %s = %v, want the trace's event %v", w, r, f[1], got, r[f[0]])
+				}
+			}
 		}
+		for _, flags := range [][]string{{"-batch", "64"}, {"-stream"}, {"-shards", "4"}} {
+			if got := races(flags...); !reflect.DeepEqual(def, got) {
+				t.Errorf("%s: -json race lists differ:\ndefault: %v\n%v: %v", w, def, flags, got)
+			}
+		}
+	}
+}
+
+// readTraceFile decodes a binary trace file.
+func readTraceFile(t *testing.T, path string) trace.Trace {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadBinary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestRacedetectPolicyRepair: -policy repair analyzes a damaged trace,
+// repairing the unheld release, while the default policy rejects it as
+// infeasible before printing any report.
+func TestRacedetectPolicyRepair(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "damaged.trace")
+	if err := os.WriteFile(tracePath, []byte("fork 0 1\nwr 1 x0\nrel 1 m0\nwr 0 x0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "racedetect", "-policy", "repair", "-stats", tracePath)
+	if code != 1 || !strings.Contains(out, "repaired=1") || !strings.Contains(out, "FastTrack: 1 warning(s)") {
+		t.Errorf("-policy repair: exit %d, want 1 with repaired=1 and one warning:\n%s", code, out)
+	}
+	for _, flags := range [][]string{nil, {"-stream"}} {
+		out, code = run(t, "racedetect", append(flags, tracePath)...)
+		if code != 2 || !strings.HasPrefix(out, "racedetect: infeasible trace: ") || strings.Contains(out, "warning") {
+			t.Errorf("%v: exit %d, want 2 with a racedetect: infeasible trace: error and no report:\n%s", flags, code, out)
+		}
+	}
+}
+
+// TestRacedetectTruncatedTrace: a binary trace cut mid-event fails the
+// run with the position of the torn event.
+func TestRacedetectTruncatedTrace(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "tsp.bin")
+	if out, code := run(t, "tracegen", "-workload", "tsp", "-scale", "0.2", "-format", "binary", "-o", tracePath); code != 0 {
+		t.Fatalf("tracegen failed (%d): %s", code, out)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(readTraceFile(t, tracePath))
+	cut := filepath.Join(dir, "cut.bin")
+	if err := os.WriteFile(cut, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := run(t, "racedetect", cut)
+	want := regexp.MustCompile(fmt.Sprintf(`racedetect: trace: event %d: unexpected EOF \(at byte \d+\)`, n-1))
+	if code != 2 || !want.MatchString(out) || strings.Contains(out, "warning") {
+		t.Errorf("truncated trace: exit %d, want 2 and an error matching %q:\n%s", code, want, out)
 	}
 }
 

@@ -298,21 +298,29 @@ func (d *Dispatcher) checked(idx int64, e trace.Event) {
 	d.process(e)
 }
 
-// AccessBatch delivers a run of data-access (Read/Write) events that
-// the caller has serialized under a single stripe lock. It is the
-// batched analog of per-event delivery in concurrent mode: the fed
-// count and the delivery-index reservation are one atomic add each for
-// the whole run, and the delivered-kind counters are added once per
-// run instead of once per event. Requires SetConcurrent (and therefore
-// PolicyOff); events must all be Read or Write, already mapped to the
-// caller's stripe in shadow-location space.
-func (d *Dispatcher) AccessBatch(events []trace.Event) {
+// ReserveIndices reserves n consecutive event indices for an access run
+// the caller is about to deliver with AccessBatch, and returns the
+// first. Requires SetConcurrent.
+func (d *Dispatcher) ReserveIndices(n int) int {
+	return int(atomic.AddInt64(&d.next, int64(n))) - n
+}
+
+// AccessBatch delivers data-access (Read/Write) events that the caller
+// has serialized under a single stripe lock. It is the batched analog of
+// per-event delivery in concurrent mode: the fed count is one atomic add
+// for the whole batch, and the delivered-kind counters are added once
+// per batch instead of once per event. events[i] is delivered as event
+// base+pos[i], or base+i when pos is nil, where base comes from
+// ReserveIndices: a run split across stripes keeps the event indices of
+// its arrival order. Requires SetConcurrent (and therefore PolicyOff);
+// events must all be Read or Write, already mapped to the caller's
+// stripe in shadow-location space.
+func (d *Dispatcher) AccessBatch(base int, events []trace.Event, pos []int32) {
 	n := int64(len(events))
 	if n == 0 {
 		return
 	}
 	atomic.AddInt64(&d.Fed, n)
-	base := int(atomic.AddInt64(&d.next, n) - n)
 	var reads, writes int64
 	for i := range events {
 		e := events[i]
@@ -330,7 +338,11 @@ func (d *Dispatcher) AccessBatch(events []trace.Event) {
 		} else {
 			writes++
 		}
-		d.invoke(base+i, e)
+		idx := base + i
+		if pos != nil {
+			idx = base + int(pos[i])
+		}
+		d.invoke(idx, e)
 	}
 	if reads > 0 {
 		atomic.AddInt64(&d.deliveredKind[trace.Read], reads)

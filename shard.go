@@ -98,15 +98,18 @@ type batchPartition struct {
 	start  []int         // segment start offsets, one past the end at [nStripes]
 	cursor []int         // scatter write cursors (start copy, consumed)
 	events []trace.Event // run scattered into per-stripe segments
+	pos    []int32       // position in the run of each scattered event
 }
 
 func (p *batchPartition) grow(nEvents, nStripes int) {
 	if cap(p.stripe) < nEvents {
 		p.stripe = make([]int32, nEvents)
 		p.events = make([]trace.Event, nEvents)
+		p.pos = make([]int32, nEvents)
 	}
 	p.stripe = p.stripe[:nEvents]
 	p.events = p.events[:nEvents]
+	p.pos = p.pos[:nEvents]
 	if cap(p.start) < nStripes+1 {
 		p.start = make([]int, nStripes+1)
 		p.cursor = make([]int, nStripes)
@@ -159,10 +162,11 @@ func (m *Monitor) accessRun(run []trace.Event) error {
 	}
 
 	nStripes := len(m.stripes)
+	base := m.disp.ReserveIndices(len(run))
 	if len(run) == 1 {
-		m.deliverSegment(rr.StripeOf(m.disp.MapVar(run[0].Target), nStripes), run)
+		m.deliverSegment(rr.StripeOf(m.disp.MapVar(run[0].Target), nStripes), base, run, nil)
 	} else {
-		m.partition(run)
+		m.partition(base, run)
 	}
 	m.mu.RUnlock()
 
@@ -173,9 +177,9 @@ func (m *Monitor) accessRun(run []trace.Event) error {
 }
 
 // partition delivers a multi-event access run stripe by stripe, in a
-// stable order within each stripe. Caller holds the RWMutex in read
-// mode.
-func (m *Monitor) partition(run []trace.Event) {
+// stable order within each stripe, each event under the index base plus
+// its position in the run. Caller holds the RWMutex in read mode.
+func (m *Monitor) partition(base int, run []trace.Event) {
 	nStripes := len(m.stripes)
 	p := batchScratch.Get().(*batchPartition)
 	p.grow(len(run), nStripes)
@@ -192,7 +196,7 @@ func (m *Monitor) partition(run []trace.Event) {
 	if same {
 		// Common fast case (small batches, hot variables): the whole run
 		// lands on one stripe, so deliver it in place without scattering.
-		m.deliverSegment(int(p.stripe[0]), run)
+		m.deliverSegment(int(p.stripe[0]), base, run, nil)
 	} else {
 		sum := 0
 		for s := 0; s < nStripes; s++ {
@@ -205,6 +209,7 @@ func (m *Monitor) partition(run []trace.Event) {
 		for i := range run {
 			s := p.stripe[i]
 			p.events[p.cursor[s]] = run[i]
+			p.pos[p.cursor[s]] = int32(i)
 			p.cursor[s]++
 		}
 		for s := 0; s < nStripes; s++ {
@@ -212,7 +217,7 @@ func (m *Monitor) partition(run []trace.Event) {
 			if lo == hi {
 				continue
 			}
-			m.deliverSegment(s, p.events[lo:hi])
+			m.deliverSegment(s, base, p.events[lo:hi], p.pos[lo:hi])
 		}
 		// Drop event payload references (barrier Tids slices and the
 		// like) so the pooled scratch does not pin them.
@@ -222,15 +227,16 @@ func (m *Monitor) partition(run []trace.Event) {
 }
 
 // deliverSegment feeds one stripe's segment of an access run under that
-// stripe's lock. Caller holds the RWMutex in read mode.
-func (m *Monitor) deliverSegment(s int, seg []trace.Event) {
+// stripe's lock; base and pos give its event indices (AccessBatch).
+// Caller holds the RWMutex in read mode.
+func (m *Monitor) deliverSegment(s, base int, seg []trace.Event, pos []int32) {
 	sl := &m.stripes[s]
 	if !sl.TryLock() {
 		sl.Lock()
 		sl.contended++
 	}
 	sl.accesses += int64(len(seg))
-	m.disp.AccessBatch(seg)
+	m.disp.AccessBatch(base, seg, pos)
 	if m.onRace != nil {
 		m.drainStripe(s)
 	}

@@ -24,8 +24,11 @@ import (
 //
 // The binary format is a compact varint stream for large generated traces:
 // the magic "FTRK1\n", then per event: kind byte, tid uvarint, target
-// uvarint, and for BarrierRelease a count uvarint followed by the
-// participant tids.
+// uvarint, for BarrierRelease a count uvarint followed by the
+// participant tids, and for the channel kinds a capacity uvarint.
+//
+// There is one decoder, the Scanner (stream.go); ReadText and ReadBinary
+// are loops over it that collect the whole trace.
 
 const binaryMagic = "FTRK1\n"
 
@@ -82,26 +85,9 @@ func WriteText(w io.Writer, tr Trace) error {
 
 // ReadText decodes a text-format trace.
 func ReadText(r io.Reader) (Trace, error) {
-	var tr Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		e, err := parseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineno, err)
-		}
-		tr = append(tr, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	s := NewScanner(r)
+	s.started = true // text mode: no format sniffing
+	return s.all()
 }
 
 func parseLine(line string) (Event, error) {
@@ -253,75 +239,19 @@ func WriteBinary(w io.Writer, tr Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a binary-format trace.
+// ReadBinary decodes a binary-format trace, which must start with the
+// binary magic.
 func ReadBinary(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
+	s := NewScanner(r)
 	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(s.br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	var tr Trace
-	for {
-		kb, err := br.ReadByte()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if Kind(kb) >= numKinds {
-			return nil, fmt.Errorf("trace: event %d: bad kind %d", len(tr), kb)
-		}
-		tid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-		}
-		if tid > maxWireTid {
-			return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), tid, maxWireTid)
-		}
-		target, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-		}
-		e := Event{Kind: Kind(kb), Tid: int32(tid), Target: target}
-		if (e.Kind == Fork || e.Kind == Join) && target > maxWireTid {
-			return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), target, maxWireTid)
-		}
-		if e.Kind == BarrierRelease {
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-			}
-			if n > 1<<20 {
-				return nil, fmt.Errorf("trace: event %d: absurd barrier size %d", len(tr), n)
-			}
-			e.Tids = make([]int32, n)
-			for i := range e.Tids {
-				t, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-				}
-				if t > maxWireTid {
-					return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), t, maxWireTid)
-				}
-				e.Tids[i] = int32(t)
-			}
-		}
-		if e.Kind == ChanSend || e.Kind == ChanRecv || e.Kind == ChanClose {
-			c, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-			}
-			if c > uint64(MaxChanCap) {
-				return nil, fmt.Errorf("trace: event %d: channel capacity %d out of range [0, %d]", len(tr), c, MaxChanCap)
-			}
-			e.Cap = int32(c)
-		}
-		tr = append(tr, e)
-	}
+	s.started, s.binary = true, true
+	return s.all()
 }
 
 // Sniff reports whether the reader starts with the binary magic, without

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadText: arbitrary text input must never panic, and anything that
@@ -69,23 +71,48 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzScannerMatchesBatch: the streaming scanner and the batch readers
-// must accept the same inputs and produce the same events.
+// FuzzScannerMatchesBatch: the Scanner's fast path must decode exactly
+// what its byte-at-a-time path decodes. iotest.OneByteReader never
+// leaves the 3 bytes of the smallest event buffered, so reading through
+// it always takes the slow path; the two runs must agree on every event,
+// Index, Offset and the error text.
 func FuzzScannerMatchesBatch(f *testing.F) {
 	f.Add("rd 0 x1\nwr 1 x2\nbarrier b0 0 1\n")
 	f.Add("bogus\n")
+	var seed bytes.Buffer
+	_ = WriteBinary(&seed, sampleTrace())
+	f.Add(seed.String())
+	f.Add(seed.String()[:seed.Len()-1])
+	f.Add("FTRK1\n\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01")
+	f.Add("FTRK1\n\x04\x00\x80\x80\x80\x80\x08")
 	f.Fuzz(func(t *testing.T, in string) {
-		batch, batchErr := ReadText(bytes.NewReader([]byte(in)))
-		sc := NewScanner(bytes.NewReader([]byte(in)))
-		var streamed Trace
-		for sc.Scan() {
-			streamed = append(streamed, sc.Event())
-		}
-		if (batchErr == nil) != (sc.Err() == nil) {
-			t.Fatalf("acceptance differs: batch=%v scanner=%v", batchErr, sc.Err())
-		}
-		if batchErr == nil && len(batch) != len(streamed) {
-			t.Fatalf("event counts differ: %d vs %d", len(batch), len(streamed))
-		}
+		compareScanPaths(t, []byte(in))
 	})
+}
+
+// compareScanPaths scans in twice, once through iotest.OneByteReader,
+// and fails on the first difference between the runs.
+func compareScanPaths(t *testing.T, in []byte) {
+	t.Helper()
+	fast := NewScanner(bytes.NewReader(in))
+	slow := NewScanner(iotest.OneByteReader(bytes.NewReader(in)))
+	for {
+		ok := fast.Scan()
+		if ok != slow.Scan() {
+			t.Fatalf("event %d: fast path scanned %v, slow path %v", fast.Index(), ok, !ok)
+		}
+		if fast.Index() != slow.Index() || fast.Offset() != slow.Offset() {
+			t.Fatalf("position differs: fast index %d offset %d, slow index %d offset %d",
+				fast.Index(), fast.Offset(), slow.Index(), slow.Offset())
+		}
+		if !ok {
+			break
+		}
+		if !reflect.DeepEqual(fast.Event(), slow.Event()) {
+			t.Fatalf("event %d differs: fast %v, slow %v", fast.Index()-1, fast.Event(), slow.Event())
+		}
+	}
+	if fe, se := fmt.Sprint(fast.Err()), fmt.Sprint(slow.Err()); fe != se {
+		t.Fatalf("errors differ: fast %q, slow %q", fe, se)
+	}
 }

@@ -22,7 +22,6 @@ type Scanner struct {
 	index   int
 	err     error
 	cur     Event
-	stats   ScanStats
 }
 
 // countingReader counts bytes handed to the buffering layer so the
@@ -36,18 +35,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// ScanStats counts what the scanner decoded, classified at the trace
-// layer before any dispatcher filtering — the raw stream composition the
-// pipeline's delivered-event accounting is compared against.
-type ScanStats struct {
-	Events  int64 `json:"events"`
-	Reads   int64 `json:"reads,omitempty"`
-	Writes  int64 `json:"writes,omitempty"`
-	Syncs   int64 `json:"syncs,omitempty"`
-	Markers int64 `json:"markers,omitempty"` // txbegin/txend
-	Other   int64 `json:"other,omitempty"`   // notify (no happens-before role)
 }
 
 // NewScanner returns a scanner over r.
@@ -101,24 +88,8 @@ func (s *Scanner) Scan() bool {
 	}
 	s.cur = e
 	s.index++
-	s.stats.Events++
-	switch {
-	case e.Kind == Read:
-		s.stats.Reads++
-	case e.Kind == Write:
-		s.stats.Writes++
-	case e.Kind.IsSync():
-		s.stats.Syncs++
-	case e.Kind == TxBegin || e.Kind == TxEnd:
-		s.stats.Markers++
-	default:
-		s.stats.Other++
-	}
 	return true
 }
-
-// Stats returns decode-time counts for the events scanned so far.
-func (s *Scanner) Stats() ScanStats { return s.stats }
 
 // Event returns the event read by the last successful Scan.
 func (s *Scanner) Event() Event { return s.cur }
@@ -129,6 +100,18 @@ func (s *Scanner) Index() int { return s.index }
 
 // Err returns the first error encountered (nil at clean end of input).
 func (s *Scanner) Err() error { return s.err }
+
+// all scans the rest of the input into one trace.
+func (s *Scanner) all() (Trace, error) {
+	var tr Trace
+	for s.Scan() {
+		tr = append(tr, s.cur)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	return tr, nil
+}
 
 func (s *Scanner) scanText() (Event, error) {
 	for {
@@ -153,6 +136,16 @@ func (s *Scanner) scanText() (Event, error) {
 }
 
 func (s *Scanner) scanBinary() (Event, error) {
+	// Fast path: a plain event that lies wholly inside the buffer is
+	// decoded straight from it. Barrier and channel events, events that
+	// straddle the buffer's end, and every malformed event take the
+	// byte-at-a-time path below, which owns the error text and positions.
+	if buf, _ := s.br.Peek(s.br.Buffered()); len(buf) >= 3 {
+		if e, n := decodePlain(buf); n > 0 {
+			s.br.Discard(n) // cannot fail: the n bytes are buffered
+			return e, nil
+		}
+	}
 	start := s.Offset()
 	kb, err := s.br.ReadByte()
 	if err != nil {
@@ -212,6 +205,25 @@ func (s *Scanner) scanBinary() (Event, error) {
 		e.Cap = int32(c)
 	}
 	return e, nil
+}
+
+// decodePlain decodes the event at the head of buf when it is a complete,
+// well-formed plain event (neither a barrier nor a channel event) and
+// returns its encoded length; otherwise it returns 0.
+func decodePlain(buf []byte) (Event, int) {
+	k := Kind(buf[0])
+	if k >= numKinds || k == BarrierRelease || k == ChanSend || k == ChanRecv || k == ChanClose {
+		return Event{}, 0
+	}
+	tid, n := binary.Uvarint(buf[1:])
+	if n <= 0 || tid > maxWireTid {
+		return Event{}, 0
+	}
+	target, m := binary.Uvarint(buf[1+n:])
+	if m <= 0 || (k == Fork || k == Join) && target > maxWireTid {
+		return Event{}, 0
+	}
+	return Event{Kind: k, Tid: int32(tid), Target: target}, 1 + n + m
 }
 
 // noEOF converts a mid-event EOF into an unexpected-EOF error so

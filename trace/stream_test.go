@@ -249,3 +249,47 @@ func TestScannerOffsetOnTruncation(t *testing.T) {
 		t.Errorf("Offset %d beyond truncated input size %d", off, len(cut))
 	}
 }
+
+// TestScannerFastPathMatchesSlowPath runs the fuzz target's comparison
+// on deterministic inputs: a binary trace longer than the Scanner's
+// buffer (so events straddle its edge), every truncation and single-byte
+// corruption of a short one, and the text encoding.
+func TestScannerFastPathMatchesSlowPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	long := randomTrace(rng, 30000)
+	for i, e := range long {
+		if e.Kind != Fork && e.Kind != Join {
+			long[i].Target <<= uint(rng.Intn(40)) // multi-byte varints
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, long); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= 1<<16 {
+		t.Fatalf("trace of %d bytes does not overflow the scanner buffer", buf.Len())
+	}
+	compareScanPaths(t, buf.Bytes())
+
+	buf.Reset()
+	if err := WriteBinary(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	short := buf.Bytes()
+	for cut := 0; cut <= len(short); cut++ {
+		compareScanPaths(t, short[:cut])
+	}
+	for i := len(binaryMagic); i < len(short); i++ {
+		for _, b := range []byte{0x00, 0x7f, 0x80, 0xff, byte(numKinds)} {
+			bad := bytes.Clone(short)
+			bad[i] = b
+			compareScanPaths(t, bad)
+		}
+	}
+
+	buf.Reset()
+	if err := WriteText(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	compareScanPaths(t, buf.Bytes())
+}

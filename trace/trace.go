@@ -130,6 +130,11 @@ type Validator struct {
 	active    map[int32]bool // executed at least one instruction
 	lockOwner map[uint64]int32
 	index     int
+	// hot, when hotSet, is the thread of the last non-barrier event: it
+	// is running and active, so a run of its events skips both map
+	// lookups. A join makes hot the joiner, never the joined thread.
+	hot    int32
+	hotSet bool
 }
 
 const (
@@ -167,10 +172,13 @@ func (v *Validator) Event(e Event) error {
 		}
 		return nil
 	}
-	if v.state[e.Tid] != vAlive {
-		return fail("thread %d is not running", e.Tid)
+	if !v.hotSet || e.Tid != v.hot {
+		if v.state[e.Tid] != vAlive {
+			return fail("thread %d is not running", e.Tid)
+		}
+		v.active[e.Tid] = true
+		v.hot, v.hotSet = e.Tid, true
 	}
-	v.active[e.Tid] = true
 	switch e.Kind {
 	case Acquire:
 		if owner, held := v.lockOwner[e.Target]; held {

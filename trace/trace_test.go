@@ -132,6 +132,7 @@ func TestValidateRejections(t *testing.T) {
 		{"release unheld", Trace{Rel(0, 1)}, "does not hold"},
 		{"release other's lock", Trace{ForkOf(0, 1), Acq(1, 1), Rel(0, 1)}, "does not hold"},
 		{"run before fork", Trace{Rd(1, 0)}, "not running"},
+		{"negative thread", Trace{Rd(-1, 0)}, "not running"},
 		{"run after join", Trace{ForkOf(0, 1), Rd(1, 0), JoinOf(0, 1), Rd(1, 0)}, "not running"},
 		{"fork existing", Trace{ForkOf(0, 1), Rd(1, 0), ForkOf(0, 1)}, "already exists"},
 		{"fork self", Trace{ForkOf(0, 0)}, "forks itself"},
