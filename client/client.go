@@ -51,9 +51,6 @@ type ServerError struct {
 	// (zero when the server gave none). Dial and the resume path fold
 	// it into their backoff.
 	RetryAfter time.Duration
-	// Node is the refusing daemon's fleet identity ("" on unnamed
-	// daemons); fleet routing attributes refusals to nodes with it.
-	Node string
 }
 
 func (e *ServerError) Error() string {
@@ -80,41 +77,11 @@ type config struct {
 	onFull       OverflowPolicy
 	retries      int
 	backoff      time.Duration
-	schedule     func(attempt int) time.Duration
 	reconnects   int
 	maxFrame     int
 	hello        Handshake
 	dial         DialFunc
 	optErr       error
-
-	// Fleet routing hooks (see fleet.go / withRoute). route returns the
-	// candidate dial addresses ranked best-first for this session's key;
-	// nil means single-node (the Dial addr is the only candidate).
-	// observe feeds each candidate's dial+handshake outcome back to the
-	// fleet health tracker. sessionKey is the routing key DialFleet
-	// hashes (set via WithSessionKey).
-	route      func() []string
-	observe    func(addr string, err error)
-	sessionKey string
-}
-
-// candidates returns the dial addresses to sweep, best-first: the fleet
-// route when configured, else just the session's address.
-func (c *config) candidates(addr string) []string {
-	if c.route != nil {
-		if r := c.route(); len(r) > 0 {
-			return r
-		}
-	}
-	return []string{addr}
-}
-
-// observeDial reports one candidate's outcome to the fleet tracker
-// (nil error = successful handshake); a no-op without routing.
-func (c *config) observeDial(addr string, err error) {
-	if c.observe != nil {
-		c.observe(addr, err)
-	}
 }
 
 func defaultConfig() config {
@@ -135,15 +102,11 @@ func defaultConfig() config {
 	}
 }
 
-// retryDelay is the wait before retry number attempt (0-based): the
-// configured schedule, or the default jittered exponential backoff —
-// initial·2^attempt scaled by a uniform factor in [0.5, 1.5), so a
-// daemon restart does not get its reconnecting clients back in one
-// synchronized stampede.
+// retryDelay is the wait before retry number attempt (0-based): a
+// jittered exponential backoff — initial·2^attempt scaled by a uniform
+// factor in [0.5, 1.5), so a daemon restart does not get its
+// reconnecting clients back in one synchronized stampede.
 func (c *config) retryDelay(attempt int) time.Duration {
-	if c.schedule != nil {
-		return c.schedule(attempt)
-	}
 	if attempt > 16 {
 		attempt = 16
 	}
@@ -190,9 +153,8 @@ func WithQueue(frames int, p OverflowPolicy) Option {
 }
 
 // WithRetry sets the bounded dial retry budget: up to retries extra
-// attempts, waiting retryDelay(attempt) between them — by default
-// exponential backoff starting at initial with ±50% jitter (see
-// WithRetrySchedule to replace the schedule entirely).
+// attempts, waiting retryDelay(attempt) between them — exponential
+// backoff starting at initial with ±50% jitter.
 func WithRetry(retries int, initial time.Duration) Option {
 	return func(c *config) {
 		if retries >= 0 {
@@ -202,17 +164,6 @@ func WithRetry(retries int, initial time.Duration) Option {
 			c.backoff = initial
 		}
 	}
-}
-
-// WithRetrySchedule replaces the dial/reconnect backoff schedule: f is
-// called with the 0-based retry attempt number and returns how long to
-// wait before that retry. The number of attempts is still bounded by
-// WithRetry's budget. The caller owns jitter when supplying a schedule;
-// a deterministic schedule re-creates the synchronized-stampede problem
-// the default avoids. A server Retry-After hint still takes precedence
-// when it is longer than the scheduled delay.
-func WithRetrySchedule(f func(attempt int) time.Duration) Option {
-	return func(c *config) { c.schedule = f }
 }
 
 // WithReconnect enables transparent reconnect-and-resume: when the
@@ -338,7 +289,6 @@ type Session struct {
 	genDead     chan struct{}
 	replies     chan inFrame
 	id          string
-	node        string // serving daemon's fleet identity (HelloOK.Node)
 	rootID      string // first session id of the lineage
 	epoch       int64  // last handshake epoch sent
 	resumesLeft int
@@ -406,16 +356,10 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		return nil, cfg.optErr
 	}
 
-	// Each attempt sweeps the candidate list best-first (a single
-	// element without fleet routing): failover to the next node is free,
-	// only an exhausted sweep costs a backoff wait. A permanent server
-	// refusal (bad configuration, protocol violation) fails immediately
-	// — every node would refuse it the same way.
-	conn, ok, dialed, err := sweepDial(&cfg, addr, cfg.hello, nil)
+	conn, ok, err := dialRetry(&cfg, addr, cfg.hello, nil)
 	if err != nil {
 		return nil, err
 	}
-	addr = dialed
 
 	s := &Session{
 		cfg:         cfg,
@@ -424,7 +368,6 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		genDead:     make(chan struct{}),
 		replies:     make(chan inFrame, 4),
 		id:          ok.SessionID,
-		node:        ok.Node,
 		rootID:      ok.SessionID,
 		resumesLeft: cfg.reconnects,
 		sendq:       make(chan outFrame, cfg.queueFrames),
@@ -445,60 +388,40 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// sweepDial opens and handshakes a connection within the retry budget:
-// each attempt sweeps the candidate list best-first (one element
-// without fleet routing), reporting every candidate's outcome to the
-// fleet tracker, and only an exhausted sweep waits out the backoff —
-// stretched to the longest Retry-After hint collected during the sweep.
-// A permanent server refusal (rejected configuration, protocol
-// violation) aborts immediately: every node would refuse it the same
-// way. A non-server handshake failure is fatal on a first single-node
-// dial (the peer does not speak the protocol) but retryable when
-// sweeping a fleet or resuming (one sick node must not kill the
-// session). prep, when non-nil, mutates the hello before each handshake
-// — the resume path advances the epoch per attempt there, so a reply
-// lost after the server registered its epoch cannot stale the next try.
-// Returns the connection, the server's hello reply, and the address
-// that accepted.
-func sweepDial(cfg *config, addr string, hello Handshake, prep func(*Handshake)) (net.Conn, HelloOK, string, error) {
-	hsRetry := cfg.route != nil || prep != nil
+// dialRetry opens and handshakes a connection to addr within the retry
+// budget, waiting out the backoff between attempts — stretched to the
+// server's Retry-After hint when it refused admission. A permanent
+// server refusal (rejected configuration, protocol violation) aborts
+// immediately. A non-server handshake failure is fatal on a first dial
+// (the peer does not speak the protocol) but retryable when resuming.
+// prep, when non-nil, mutates the hello before each handshake — the
+// resume path advances the epoch per attempt there, so a reply lost
+// after the server registered its epoch cannot stale the next try.
+func dialRetry(cfg *config, addr string, hello Handshake, prep func(*Handshake)) (net.Conn, HelloOK, error) {
 	for attempt := 0; ; attempt++ {
 		var hint time.Duration
-		var lastErr error
-		for _, cand := range cfg.candidates(addr) {
-			conn, err := cfg.dial(cand, cfg.dialTimeout)
-			if err != nil {
-				cfg.observeDial(cand, err)
-				lastErr = err
-				continue
-			}
+		conn, err := cfg.dial(addr, cfg.dialTimeout)
+		if err == nil {
 			if prep != nil {
 				prep(&hello)
 			}
 			var ok HelloOK
-			ok, err = handshakeConn(conn, cfg, hello)
-			if err == nil {
-				cfg.observeDial(cand, nil)
-				return conn, ok, cand, nil
+			if ok, err = handshakeConn(conn, cfg, hello); err == nil {
+				return conn, ok, nil
 			}
 			conn.Close()
-			cfg.observeDial(cand, err)
 			var se *ServerError
 			if errors.As(err, &se) {
 				if !se.Temporary() {
-					return nil, HelloOK{}, "", err
+					return nil, HelloOK{}, err
 				}
-				hint = maxDuration(hint, se.RetryAfter)
-				lastErr = err
-				continue
+				hint = se.RetryAfter
+			} else if prep == nil {
+				return nil, HelloOK{}, err
 			}
-			if !hsRetry {
-				return nil, HelloOK{}, "", err
-			}
-			lastErr = err
 		}
 		if attempt >= cfg.retries {
-			return nil, HelloOK{}, "", fmt.Errorf("client: dial %s: %w (after %d attempts)", addr, lastErr, attempt+1)
+			return nil, HelloOK{}, fmt.Errorf("client: dial %s: %w (after %d attempts)", addr, err, attempt+1)
 		}
 		time.Sleep(maxDuration(cfg.retryDelay(attempt), hint))
 	}
@@ -609,24 +532,6 @@ func (s *Session) ID() string {
 // ResumeOf.
 func (s *Session) RootID() string { return s.rootID }
 
-// Node returns the fleet identity of the daemon currently serving the
-// session (HelloOK.Node; "" from unnamed daemons). It can change across
-// resumes — a fleet-routed session that fails over reports its new
-// home.
-func (s *Session) Node() string {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.node
-}
-
-// Addr returns the address of the daemon currently serving the session;
-// like Node it can change when a fleet-routed session fails over.
-func (s *Session) Addr() string {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.addr
-}
-
 // Err returns the session's sticky error, nil while healthy.
 func (s *Session) Err() error {
 	if e, _ := s.errv.Load().(error); e != nil {
@@ -690,20 +595,16 @@ func (s *Session) lost(gen int64, cause error) {
 }
 
 // redialLocked re-establishes the session under connMu: jittered-backoff
-// redial (sweeping the fleet's candidate list when routed, so the
-// session fails over to another node if its own died), then a resume
-// handshake carrying the lineage's root id and a strictly increasing
-// epoch — incremented per handshake attempt, so even if an attempt's
-// reply is lost after the server registered it, the next attempt still
-// presents a newer epoch. A node that never saw the lineage admits any
-// epoch (its high-water mark is zero), which is what makes cross-node
-// failover just another resume. While it runs, senderLoop blocks in
-// snapshot and producers back up in the frame queue: reconnect is
-// backpressure, not loss.
+// redial, then a resume handshake carrying the lineage's root id and a
+// strictly increasing epoch — incremented per handshake attempt, so
+// even if an attempt's reply is lost after the server registered it,
+// the next attempt still presents a newer epoch. While it runs,
+// senderLoop blocks in snapshot and producers back up in the frame
+// queue: reconnect is backpressure, not loss.
 func (s *Session) redialLocked(cause error) {
 	hello := s.cfg.hello
 	hello.ResumeOf = s.rootID
-	conn, ok, dialed, err := sweepDial(&s.cfg, s.addr, hello, func(h *Handshake) {
+	conn, ok, err := dialRetry(&s.cfg, s.addr, hello, func(h *Handshake) {
 		s.epoch++
 		h.Epoch = s.epoch
 	})
@@ -717,13 +618,11 @@ func (s *Session) redialLocked(cause error) {
 		s.conn = nil
 		return
 	}
-	s.addr = dialed
 	s.conn = conn
 	s.gen++
 	s.genDead = make(chan struct{})
 	s.replies = make(chan inFrame, 4)
 	s.id = ok.SessionID
-	s.node = ok.Node
 	s.traceOK.Store(ok.Tracing)
 	s.resumes.Add(1)
 	go s.readerLoop(conn, s.gen, s.replies)
@@ -829,7 +728,6 @@ func wireErr(payload []byte) error {
 		Code:       we.Code,
 		Msg:        we.Msg,
 		RetryAfter: time.Duration(we.RetryAfterMillis) * time.Millisecond,
-		Node:       we.Node,
 	}
 }
 
@@ -927,12 +825,14 @@ func (s *Session) enqueueControl(t trace.FrameType, v any, gen int64) error {
 
 // await waits for the reply of the outstanding control request, issued
 // at connection generation gen0. Callers hold reqMu, so at most one
-// reply is in flight. If the connection was lost (and possibly resumed)
-// since the request was issued, the reply will never arrive; await
-// returns ErrResumed instead of waiting for the timeout.
+// reply is in flight. If the connection was resumed since the request
+// was issued, the reply will never arrive; await returns ErrResumed
+// instead of waiting for the timeout. A connection that ended on gen0
+// is not checked here: its reply may already sit in replies (see
+// below).
 func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) {
-	conn, gen, replies, gd := s.snapshot()
-	if gen != gen0 || conn == nil {
+	_, gen, replies, gd := s.snapshot()
+	if gen != gen0 {
 		if err := s.Err(); err != nil {
 			return inFrame{}, err
 		}

@@ -128,10 +128,6 @@ type HelloOK struct {
 	// frames. A server that predates tracing leaves it false, and the
 	// client then never flags a frame.
 	Tracing bool `json:"tracing,omitempty"`
-	// Node is the accepting daemon's fleet identity (its configured
-	// node id; empty on unnamed single-node daemons). A fleet-routed
-	// client records it so callers can see where a session landed.
-	Node string `json:"node,omitempty"`
 }
 
 // Seq carries a client-chosen request sequence number; the matching
@@ -216,9 +212,6 @@ type WireError struct {
 	// before redialing — the wire analog of HTTP Retry-After. The client
 	// folds it into its jittered reconnect backoff.
 	RetryAfterMillis int64 `json:"retryAfterMillis,omitempty"`
-	// Node is the refusing daemon's fleet identity, so a routed client
-	// can attribute the refusal to the right node even through proxies.
-	Node string `json:"node,omitempty"`
 }
 
 // Error codes carried by WireError.

@@ -29,13 +29,7 @@
 // geomean >= 2x). "chan": channel happens-before cost and precision
 // against the legacy volatile encoding on channel-heavy workloads
 // (DESIGN.md §14); with -out FILE it writes the fasttrack/bench-chan/v1
-// artifact (BENCH_chan.json in CI). "fleet": routed session throughput
-// against 1/2/4 in-process racedetectd nodes — fixed worker population,
-// capped session slots per node, client.Fleet steering refused dials to
-// free capacity (DESIGN.md §15); with -out FILE it writes the
-// fasttrack/bench-fleet/v1 artifact (BENCH_fleet.json in CI, gated at
-// 2-node speedup >= 1.8x). Fleet spins real TCP servers, so it is not
-// part of -table all.
+// artifact (BENCH_chan.json in CI).
 package main
 
 import (
@@ -47,7 +41,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, shards, batch, fidelity, provenance, speed, chan, fleet")
+	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, shards, batch, fidelity, provenance, speed, chan")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
 	asCSV := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables (tables 1, 2, 3, compose, scaling, accordion)")
@@ -185,18 +179,6 @@ func main() {
 				f, err := os.Create(*out)
 				check(err)
 				check(bench.WriteChanJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
-		case "fleet":
-			fmt.Println("=== Extension: fleet-routed session throughput ===")
-			rep, err := bench.Fleet(cfg, 0)
-			check(err)
-			bench.FprintFleet(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteFleetJSON(f, rep))
 				check(f.Close())
 				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
 			}

@@ -11,11 +11,11 @@ import (
 // runRemote streams the trace to a racedetectd daemon instead of
 // analyzing it in-process, and renders the session's final report in
 // exactly the local batch format (so local and remote runs diff clean);
-// the transport note goes to stderr. With a non-empty servers spec the
-// session is fleet-routed (client.DialFleet): it lands on the key's
-// owning node, steers around capped/draining/dead nodes, and fails over
-// mid-stream if its node dies. Returns the process exit code.
-func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string, shards int, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
+// the transport note goes to stderr. validate checks the trace's
+// feasibility before streaming; the caller sets it only under -policy
+// off, since the other policies repair, drop or stop on a violation in
+// the daemon. Returns the process exit code.
+func runRemote(path, addr, toolName, gran, policyName, fidelity string, shards int, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
 	tr, err := readTrace(path)
 	if err != nil {
 		fatal(err)
@@ -53,19 +53,10 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 	if traceWire {
 		opts = append(opts, client.WithTracing())
 	}
-	var sess *client.Session
-	if servers != "" {
-		// Fleet mode: reconnect budget covers mid-stream node failover
-		// (a one-shot CLI run otherwise fails closed on its node dying).
-		opts = append(opts, client.WithReconnect(4))
-		sess, err = client.DialFleet(servers, opts...)
-	} else {
-		sess, err = client.Dial(addr, opts...)
-	}
+	sess, err := client.Dial(addr, opts...)
 	if err != nil {
 		fatal(err)
 	}
-	addr = sess.Addr()
 	for _, e := range tr {
 		if err := sess.Write(e); err != nil {
 			fatal(fmt.Errorf("streaming to %s: %w", addr, err))
@@ -121,12 +112,8 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 			fatal(err)
 		}
 	}
-	where := sess.Addr()
-	if n := sess.Node(); n != "" {
-		where = fmt.Sprintf("%s, node %s", where, n)
-	}
 	fmt.Fprintf(os.Stderr, "racedetect: %d events analyzed remotely (session %s on %s)\n",
-		res.Events, res.SessionID, where)
+		res.Events, res.SessionID, addr)
 	if len(res.Races) > 0 {
 		return 1
 	}

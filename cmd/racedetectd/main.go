@@ -11,12 +11,7 @@
 //	            [-governor 250ms] [-stuck-timeout 30s] [-mem-budget bytes]
 //	            [-sample-rate 0.25] [-retry-after 1s]
 //	            [-trace] [-trace.slow 50ms] [-trace.spans 256]
-//	            [-log-format text|json] [-node NAME]
-//
-// -node names this daemon in a fleet: the identity is published in
-// /readyz and /healthz, stamped on admission refusals and accepted
-// handshakes, and attached to every session listed over HTTP, which is
-// what lets racedetectfleet's merged views attribute state to nodes.
+//	            [-log-format text|json]
 //
 // -trace enables the pipeline tracer: sessions that request tracing in
 // their handshake get per-frame stage spans (wire gap, queue wait,
@@ -87,7 +82,6 @@ func main() {
 	traceSlow := flag.Duration("trace.slow", 0, "slow-frame log threshold (0 = default 50ms)")
 	traceSpans := flag.Int("trace.spans", 0, "recent-span ring capacity (0 = default 256)")
 	logFormat := flag.String("log-format", "text", "lifecycle log format: text (free-form, needs -v) or json (structured one-line events)")
-	node := flag.String("node", "", "this daemon's fleet identity, published in /readyz, refusals, and session listings (empty = unnamed single node)")
 	verbose := flag.Bool("v", false, "log per-session lifecycle events")
 	flag.Parse()
 
@@ -131,7 +125,6 @@ func main() {
 		Tracing:            *tracing,
 		SlowFrameThreshold: *traceSlow,
 		TraceSpans:         *traceSpans,
-		NodeID:             *node,
 		Logf:               logf,
 		EventLog:           eventLog,
 	})

@@ -2,8 +2,10 @@ package fasttrack_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +14,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"fasttrack/internal/svc"
 	"fasttrack/trace"
 )
 
@@ -223,7 +227,7 @@ func readTraceFile(t *testing.T, path string) trace.Trace {
 
 // TestRacedetectPolicyRepair: -policy repair analyzes a damaged trace,
 // repairing the unheld release, while the default policy rejects it as
-// infeasible before printing any report.
+// infeasible before printing any report — locally and over the wire.
 func TestRacedetectPolicyRepair(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "damaged.trace")
 	if err := os.WriteFile(tracePath, []byte("fork 0 1\nwr 1 x0\nrel 1 m0\nwr 0 x0\n"), 0o644); err != nil {
@@ -233,12 +237,45 @@ func TestRacedetectPolicyRepair(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "repaired=1") || !strings.Contains(out, "FastTrack: 1 warning(s)") {
 		t.Errorf("-policy repair: exit %d, want 1 with repaired=1 and one warning:\n%s", code, out)
 	}
-	for _, flags := range [][]string{nil, {"-stream"}} {
+	warning := regexp.MustCompile(`(?m)^  .* race on x0: .*$`).FindString(out)
+	if warning == "" {
+		t.Fatalf("-policy repair: no warning line for x0:\n%s", out)
+	}
+	addr := startDaemon(t)
+	out, code = run(t, "racedetect", "-server", addr, "-policy", "repair", tracePath)
+	if code != 1 || !strings.Contains(out, "\n"+warning+"\n") {
+		t.Errorf("-server -policy repair: exit %d, want 1 with the local warning %q:\n%s", code, warning, out)
+	}
+	for _, flags := range [][]string{nil, {"-stream"}, {"-server", addr}} {
 		out, code = run(t, "racedetect", append(flags, tracePath)...)
 		if code != 2 || !strings.HasPrefix(out, "racedetect: infeasible trace: ") || strings.Contains(out, "warning") {
 			t.Errorf("%v: exit %d, want 2 with a racedetect: infeasible trace: error and no report:\n%s", flags, code, out)
 		}
 	}
+}
+
+// startDaemon serves racedetectd sessions in-process on a loopback port
+// for the test's lifetime and returns the dial address.
+func startDaemon(t *testing.T) string {
+	t.Helper()
+	srv := svc.New(svc.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return ln.Addr().String()
 }
 
 // TestRacedetectTruncatedTrace: a binary trace cut mid-event fails the

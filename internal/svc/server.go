@@ -119,12 +119,6 @@ type Config struct {
 	SlowFrameThreshold time.Duration
 	// TraceSpans caps the recent-span ring (default 256).
 	TraceSpans int
-	// NodeID names this daemon in a fleet: it is published in /readyz
-	// and /healthz, stamped on admission refusals and HelloOK replies
-	// (so clients and the fleet aggregator can attribute state to a
-	// node), and attached to every SessionInfo. Empty is fine for a
-	// single-node deployment; the fields are simply omitted.
-	NodeID string
 }
 
 // Event is one structured lifecycle event for Config.EventLog. Kind is
@@ -589,7 +583,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		SampleRate:    sess.rateFor(plan.start),
 		ForcedSampled: plan.forced,
 		Tracing:       sess.traced,
-		Node:          s.cfg.NodeID,
 	}
 	if err := sess.reply(client.FrameHelloOK, ok); err != nil {
 		// The client never saw a session; don't read from it.
@@ -631,7 +624,7 @@ func (s *Server) refuse(conn net.Conn, fw *trace.FrameWriter, code, msg string) 
 func (s *Server) refuseRetry(conn net.Conn, fw *trace.FrameWriter, code, msg string, retryAfter time.Duration) {
 	s.sm.errorsTotal.Inc()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	we := client.WireError{Code: code, Msg: msg, Node: s.cfg.NodeID}
+	we := client.WireError{Code: code, Msg: msg}
 	if retryAfter > 0 {
 		we.RetryAfterMillis = retryAfter.Milliseconds()
 	}
@@ -670,8 +663,10 @@ func (s *Server) finalized(sess *session) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
-	s.sm.sessionsActive.Add(-1)
+	// Metrics go before the gauge drops, so an observer that sees the
+	// session inactive never finds its per-session metrics.
 	s.reg.DeleteByPrefix("svc.session." + sess.id + ".")
+	s.sm.sessionsActive.Add(-1)
 	if dir := s.cfg.ReportDir; dir != "" {
 		if err := sess.writeReport(dir); err != nil {
 			s.cfg.Logf("svc: session %s report: %v", sess.id, err)
@@ -719,9 +714,6 @@ type SessionInfo struct {
 	Epoch                int64   `json:"epoch,omitempty"`
 	ResumeOf             string  `json:"resumeOf,omitempty"`
 	Err                  string  `json:"err,omitempty"`
-	// Node is the serving daemon's identity (Config.NodeID), so a
-	// fleet-merged session listing attributes each session to its node.
-	Node string `json:"node,omitempty"`
 }
 
 // Handler returns the server's HTTP surface: the live metrics registry
@@ -792,21 +784,19 @@ func (s *Server) Handler() http.Handler {
 		// the exact condition it should survive).
 		writeJSON(w, struct {
 			Status      string `json:"status"`
-			Node        string `json:"node,omitempty"`
 			Draining    bool   `json:"draining"`
 			Sessions    int64  `json:"sessions"`
 			Quarantined int64  `json:"quarantined"`
-		}{"ok", s.cfg.NodeID, s.draining.Load(), s.activeN.Load(), s.quarantined.Load()})
+		}{"ok", s.draining.Load(), s.activeN.Load(), s.quarantined.Load()})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		// Readiness: a draining or hard-capped node should get no new
-		// work routed to it. Unlike /healthz this deliberately holds
-		// s.mu: readiness pairs active with the soft-limit predicate and
-		// the shed census as one consistent admission snapshot (the
-		// fleet tracker steers on the combination, and a torn read could
-		// report ready=false with no pressure flag set), and a probe
-		// timing out because the mutex is wedged is the right answer for
-		// "should new sessions route here".
+		// Readiness: a draining or hard-capped daemon should get no new
+		// work. Unlike /healthz this deliberately holds s.mu: readiness
+		// pairs active with the soft-limit predicate and the shed census
+		// as one consistent admission snapshot (a torn read could report
+		// ready=false with no pressure flag set), and a probe timing out
+		// because the mutex is wedged is the right answer for "should new
+		// sessions come here".
 		s.mu.Lock()
 		active := s.active
 		soft := s.softLimitedLocked()
@@ -823,16 +813,15 @@ func (s *Server) Handler() http.Handler {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		writeJSON(w, struct {
-			Ready          bool   `json:"ready"`
-			Node           string `json:"node,omitempty"`
-			Draining       bool   `json:"draining"`
-			ActiveSessions int    `json:"activeSessions"`
-			MaxSessions    int    `json:"maxSessions"`
-			SoftLimited    bool   `json:"softLimited"`
-			Shedding       bool   `json:"shedding"`
-			ShedSessions   int    `json:"shedSessions"`
-			Quarantined    int64  `json:"quarantined"`
-		}{ready, s.cfg.NodeID, draining, active, s.cfg.MaxSessions, soft, shed > 0, shed, s.quarantined.Load()})
+			Ready          bool  `json:"ready"`
+			Draining       bool  `json:"draining"`
+			ActiveSessions int   `json:"activeSessions"`
+			MaxSessions    int   `json:"maxSessions"`
+			SoftLimited    bool  `json:"softLimited"`
+			Shedding       bool  `json:"shedding"`
+			ShedSessions   int   `json:"shedSessions"`
+			Quarantined    int64 `json:"quarantined"`
+		}{ready, draining, active, s.cfg.MaxSessions, soft, shed > 0, shed, s.quarantined.Load()})
 	})
 	return mux
 }

@@ -24,7 +24,7 @@ import (
 // worker goroutine, via finalize.
 const (
 	stateStreaming   int32 = iota
-	stateCompleted         // client sent FrameClose and got its final results
+	stateCompleted         // client sent FrameClose; finalized before its CloseOK
 	stateDrained           // finalized by a server drain (Shutdown)
 	stateLost              // connection ended without a close frame
 	stateEvicted           // idle timeout
@@ -290,7 +290,7 @@ func (sess *session) workerLoop() {
 	case failed:
 		sess.finalize(stateFailed, failureCause)
 	case sawClose:
-		sess.finalize(stateCompleted, nil)
+		// handleFrame finalized the session before its CloseOK.
 	case errors.Is(terminalErr, errIdleEvicted):
 		sess.conn.Close()
 		sess.finalize(stateEvicted, terminalErr)
@@ -366,7 +366,12 @@ func (sess *session) handleFrame(it qitem) error {
 	case client.FrameClose:
 		var q client.Seq
 		json.Unmarshal(it.payload, &q) // seq optional on close
-		return sess.reply(client.FrameCloseOK, sess.results(q.Seq))
+		// Finalize before acknowledging, so a client whose Close has
+		// returned finds the session completed, its per-session metrics
+		// deleted and its report written.
+		res := sess.results(q.Seq)
+		sess.finalize(stateCompleted, nil)
+		return sess.reply(client.FrameCloseOK, res)
 	case client.FrameHello:
 		return fmt.Errorf("%s: duplicate hello", client.ErrCodeProtocol)
 	default:
@@ -595,7 +600,6 @@ func (sess *session) info() SessionInfo {
 		SampleRate: sess.rateFor(rung),
 		Epoch:      sess.epoch,
 		ResumeOf:   sess.resumeOf,
-		Node:       sess.srv.cfg.NodeID,
 	}
 	// Same watchdog race as the stats endpoint: bound the monitor read
 	// so a listing never hangs on a session quarantined mid-call.
