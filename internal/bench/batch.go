@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,33 +11,29 @@ import (
 	"fasttrack/trace"
 )
 
-// BatchSchema versions the BENCH_batch.json artifact.
-const BatchSchema = "fasttrack/bench-batch/v1"
-
-// BatchReport is the machine-readable batched-ingestion artifact: the
-// throughput of Monitor.IngestBatch across batch sizes, serial and
-// sharded, against the per-event Monitor.Ingest baseline on the same
-// event stream. One producer feeds the monitor, so the table isolates
-// the per-event lock/dispatch toll that batching amortizes rather than
-// feeder contention (BENCH_scaling.json covers that axis).
+// BatchReport is the batched-ingestion table: the throughput of
+// Monitor.IngestBatch across batch sizes, serial and sharded, against
+// the per-event Monitor.Ingest baseline on the same event stream. One
+// producer feeds the monitor, so the table isolates the per-event
+// lock/dispatch toll that batching amortizes rather than feeder
+// contention (the shards table covers that axis).
 type BatchReport struct {
-	Schema string     `json:"schema"`
-	CPUs   int        `json:"cpus"`
-	Events int        `json:"events"`
-	Runs   int        `json:"runs"`
-	Rows   []BatchRow `json:"rows"`
+	CPUs   int
+	Events int
+	Runs   int
+	Rows   []BatchRow
 }
 
 // BatchRow is one (mode, batch size) cell. Batch == 0 is the per-event
 // Ingest baseline; Speedup is relative to the same mode's baseline row
 // (so the shards=1 and sharded sweeps are each self-normalized).
 type BatchRow struct {
-	Mode         string  `json:"mode"`   // "serial" or "sharded"
-	Shards       int     `json:"shards"` // 1 in serial mode
-	Batch        int     `json:"batch"`  // events per IngestBatch; 0 = per-event Ingest
-	ElapsedNs    int64   `json:"elapsedNs"`
-	EventsPerSec float64 `json:"eventsPerSec"`
-	Speedup      float64 `json:"speedup"`
+	Mode         string // "serial" or "sharded"
+	Shards       int    // 1 in serial mode
+	Batch        int    // events per IngestBatch; 0 = per-event Ingest
+	ElapsedNs    int64
+	EventsPerSec float64
+	Speedup      float64
 }
 
 // batchWorkload builds the event stream the sweep replays: one thread
@@ -101,7 +96,6 @@ func Batch(cfg Config, batchSizes []int, shards, totalEvents int) BatchReport {
 	}
 	events := batchWorkload(totalEvents)
 	rep := BatchReport{
-		Schema: BatchSchema,
 		CPUs:   runtime.GOMAXPROCS(0),
 		Events: len(events),
 		Runs:   cfg.runs(),
@@ -138,11 +132,11 @@ func Batch(cfg Config, batchSizes []int, shards, totalEvents int) BatchReport {
 	return rep
 }
 
-// WriteBatchJSON writes the artifact as indented JSON.
-func WriteBatchJSON(w io.Writer, rep BatchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload
+// "<mode>/<batch>" per cell.
+func (rep BatchReport) ArtifactRows() []Row {
+	return fieldRows("batch", rep.Rows, func(r BatchRow) string { return fmt.Sprintf("%s/%d", r.Mode, r.Batch) },
+		"Shards", "Batch")
 }
 
 // FprintBatch renders the batched-ingestion throughput table.

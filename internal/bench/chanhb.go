@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -13,22 +12,18 @@ import (
 	"fasttrack/trace"
 )
 
-// ChanSchema versions the BENCH_chan.json artifact.
-const ChanSchema = "fasttrack/bench-chan/v1"
-
-// ChanReport is the machine-readable channel-HB artifact: FastTrack's
-// per-event cost and race precision on channel-heavy workloads, the
-// first-class chsend/chrecv rules against the legacy volatile encoding
-// (one volatile per channel, send = release, recv = acquire) that
+// ChanReport is the channel-HB table: FastTrack's per-event cost and
+// race precision on channel-heavy workloads, the first-class
+// chsend/chrecv rules against the legacy volatile encoding (one
+// volatile per channel, send = release, recv = acquire) that
 // syncmodel.Channel used before the channel trace kinds existed. The
 // two traces per row are identical except for the channel events, so
 // the cost ratio isolates the encoding and the race columns show what
 // each encoding's happens-before admits.
 type ChanReport struct {
-	Schema string    `json:"schema"`
-	CPUs   int       `json:"cpus"`
-	Runs   int       `json:"runs"`
-	Rows   []ChanRow `json:"rows"`
+	CPUs int
+	Runs int
+	Rows []ChanRow
 }
 
 // ChanRow compares one workload under the two encodings. SeededRaces
@@ -37,16 +32,16 @@ type ChanReport struct {
 // (every receive after every preceding send) suppresses them all.
 // CostRatio is native per-event time over volatile per-event time.
 type ChanRow struct {
-	Workload             string  `json:"workload"`
-	Events               int     `json:"events"`
-	SeededRaces          int     `json:"seededRaces"`
-	NativeNs             int64   `json:"nativeNs"`
-	NativeEventsPerSec   float64 `json:"nativeEventsPerSec"`
-	NativeRaces          int     `json:"nativeRaces"`
-	VolatileNs           int64   `json:"volatileNs"`
-	VolatileEventsPerSec float64 `json:"volatileEventsPerSec"`
-	VolatileRaces        int     `json:"volatileRaces"`
-	CostRatio            float64 `json:"costRatio"`
+	Workload             string
+	Events               int
+	SeededRaces          int
+	NativeNs             int64
+	NativeEventsPerSec   float64
+	NativeRaces          int
+	VolatileNs           int64
+	VolatileEventsPerSec float64
+	VolatileRaces        int
+	CostRatio            float64
 }
 
 // chanProfiles builds the rows: each channel idiom isolated, then the
@@ -92,9 +87,8 @@ func Chan(cfg Config, totalEvents int) ChanReport {
 		}
 	}
 	rep := ChanReport{
-		Schema: ChanSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Runs:   cfg.runs(),
+		CPUs: runtime.GOMAXPROCS(0),
+		Runs: cfg.runs(),
 	}
 	for _, p := range chanProfiles(totalEvents) {
 		scale := 1.0
@@ -136,11 +130,16 @@ func Chan(cfg Config, totalEvents int) ChanReport {
 	return rep
 }
 
-// WriteChanJSON writes the artifact as indented JSON.
-func WriteChanJSON(w io.Writer, rep ChanReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload per profile,
+// plus nativeRaceError, NativeRaces − SeededRaces: zero when the native
+// rules report exactly the seeded races.
+func (rep ChanReport) ArtifactRows() []Row {
+	rows := fieldRows("chan", rep.Rows, func(r ChanRow) string { return r.Workload })
+	for _, r := range rep.Rows {
+		rows = append(rows, Row{Table: "chan", Workload: r.Workload, Metric: "nativeRaceError",
+			Value: float64(r.NativeRaces - r.SeededRaces)})
+	}
+	return rows
 }
 
 // FprintChan renders the channel-HB comparison table.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,36 +11,32 @@ import (
 	"fasttrack/trace"
 )
 
-// FidelitySchema versions the BENCH_fidelity.json artifact.
-const FidelitySchema = "fasttrack/bench-fidelity/v1"
-
-// FidelityReport is the machine-readable sampling-tier artifact: the
-// per-event throughput of the FastTrack detector across sampling rates
-// on a vector-clock-heavy workload, with the detection probability each
-// rate buys. It is the cost/coverage curve behind racedetectd's
-// fidelity ladder (full → sampled → coarse → shed), so the CI gate on
-// it is what keeps "degrade under pressure" a real throughput lever
-// rather than an aspiration.
+// FidelityReport is the sampling-tier table: the per-event throughput
+// of the FastTrack detector across sampling rates on a
+// vector-clock-heavy workload, with the detection probability each rate
+// buys. It is the cost/coverage curve behind racedetectd's fidelity
+// ladder (full → sampled → coarse → shed), so the gate on it is what
+// keeps "degrade under pressure" a real throughput lever rather than
+// an aspiration.
 type FidelityReport struct {
-	Schema  string        `json:"schema"`
-	CPUs    int           `json:"cpus"`
-	Threads int           `json:"threads"`
-	Vars    int           `json:"vars"`
-	Events  int           `json:"events"`
-	Runs    int           `json:"runs"`
-	Rows    []FidelityRow `json:"rows"`
+	CPUs    int
+	Threads int
+	Vars    int
+	Events  int
+	Runs    int
+	Rows    []FidelityRow
 }
 
 // FidelityRow is one sampling rate. Speedup is relative to the rate-1.0
 // row; DetectionProbability is the analyzed fraction of offered
 // accesses as reported by the detector itself.
 type FidelityRow struct {
-	Rate                 float64 `json:"rate"`
-	ElapsedNs            int64   `json:"elapsedNs"`
-	EventsPerSec         float64 `json:"eventsPerSec"`
-	Speedup              float64 `json:"speedup"`
-	DetectionProbability float64 `json:"detectionProbability"`
-	Races                int     `json:"races"`
+	Rate                 float64
+	ElapsedNs            int64
+	EventsPerSec         float64
+	Speedup              float64
+	DetectionProbability float64
+	Races                int
 }
 
 // fidelityWorkload builds a race-free, vector-clock-heavy stream. Every
@@ -113,7 +108,6 @@ func Fidelity(cfg Config, rates []float64, threads, totalEvents int) FidelityRep
 	const vars = 8192
 	events := fidelityWorkload(threads, vars, totalEvents)
 	rep := FidelityReport{
-		Schema:  FidelitySchema,
 		CPUs:    runtime.GOMAXPROCS(0),
 		Threads: threads,
 		Vars:    vars,
@@ -152,11 +146,9 @@ func Fidelity(cfg Config, rates []float64, threads, totalEvents int) FidelityRep
 	return rep
 }
 
-// WriteFidelityJSON writes the artifact as indented JSON.
-func WriteFidelityJSON(w io.Writer, rep FidelityReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload per rate.
+func (rep FidelityReport) ArtifactRows() []Row {
+	return fieldRows("fidelity", rep.Rows, func(r FidelityRow) string { return fmt.Sprint(r.Rate) }, "Rate")
 }
 
 // FprintFidelity renders the sampling-rate throughput table.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -9,36 +8,29 @@ import (
 	"fasttrack/internal/sim"
 )
 
-// OpsSchema versions the BENCH_ops.json artifact. Fields are only ever
-// added within a schema version.
-const OpsSchema = "fasttrack/bench-ops/v1"
-
-// OpsReport is the machine-readable per-detector cost/operation-mix
-// artifact: for every simulated workload and every tool, the analysis
-// cost per event and the share of accesses handled by constant-time
-// instrumentation paths. It is the benchmark-side counterpart of
-// `racedetect -stats` and is written by `racebench -table ops -out`.
+// OpsReport is the per-detector cost/operation-mix table: for every
+// simulated workload and every tool, the analysis cost per event and
+// the share of accesses handled by constant-time instrumentation paths.
+// It is the benchmark-side counterpart of `racedetect -stats`.
 type OpsReport struct {
-	Schema     string     `json:"schema"`
-	Scale      float64    `json:"scale"`
-	Runs       int        `json:"runs"`
-	Benchmarks []OpsBench `json:"benchmarks"`
+	Scale      float64
+	Runs       int
+	Benchmarks []OpsBench
 }
 
 // OpsBench is one workload's measurements across the tool set.
 type OpsBench struct {
-	Bench   string    `json:"bench"`
-	Threads int       `json:"threads"`
-	Events  int       `json:"events"`
-	Tools   []OpsTool `json:"tools"`
+	Bench  string
+	Events int
+	Tools  []OpsTool
 }
 
 // OpsTool is one (workload, detector) cell.
 type OpsTool struct {
-	Tool       string  `json:"tool"`
-	NsPerEvent float64 `json:"nsPerEvent"`
-	Slowdown   float64 `json:"slowdown"`
-	Warnings   int     `json:"warnings"`
+	Tool       string
+	NsPerEvent float64
+	Slowdown   float64
+	Warnings   int
 	// FastPathPct is the percentage of memory accesses handled by the
 	// tool's constant-time instrumentation paths (for FastTrack,
 	// everything except READ SHARE inflation and WRITE SHARED; for the
@@ -46,15 +38,14 @@ type OpsTool struct {
 	// whose every access is an O(n) vector-clock operation). It is
 	// omitted for detectors without an access-rule taxonomy (the
 	// lockset-only tools).
-	FastPathPct *float64 `json:"fastPathPct,omitempty"`
+	FastPathPct *float64
 	// SameEpochPct is the share of accesses whose epoch matched the
 	// shadow word exactly — the paper's headline frequency. Omitted
 	// when the tool has no same-epoch test.
-	SameEpochPct *float64 `json:"sameEpochPct,omitempty"`
-	Stats        rr.Stats `json:"stats"`
+	SameEpochPct *float64
 }
 
-// OpsTools is the default tool set of the ops artifact: the Table 1
+// OpsTools is the default tool set of the ops table: the Table 1
 // detectors plus the Section 3 write-epochs ablation.
 var OpsTools = []string{"Empty", "Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "WriteEpochsOnly", "FastTrack"}
 
@@ -90,7 +81,6 @@ func opsCell(tool string, events int, m Measurement) OpsTool {
 		Tool:     tool,
 		Slowdown: m.Slowdown,
 		Warnings: m.Warnings,
-		Stats:    m.Stats,
 	}
 	if events > 0 {
 		cell.NsPerEvent = float64(m.Elapsed.Nanoseconds()) / float64(events)
@@ -108,7 +98,7 @@ func opsCell(tool string, events int, m Measurement) OpsTool {
 }
 
 // Ops measures every tool over every workload and assembles the
-// artifact. A nil tools slice means OpsTools; a nil benchs slice means
+// table. A nil tools slice means OpsTools; a nil benchs slice means
 // the full Table 1 workload set.
 func Ops(cfg Config, tools []string, benchs []sim.Benchmark) OpsReport {
 	if tools == nil {
@@ -117,11 +107,11 @@ func Ops(cfg Config, tools []string, benchs []sim.Benchmark) OpsReport {
 	if benchs == nil {
 		benchs = sim.Benchmarks()
 	}
-	rep := OpsReport{Schema: OpsSchema, Scale: cfg.Scale, Runs: cfg.runs()}
+	rep := OpsReport{Scale: cfg.Scale, Runs: cfg.runs()}
 	for _, b := range benchs {
 		tr := b.Trace(cfg.Scale)
 		base := BaseTime(tr, cfg.runs())
-		ob := OpsBench{Bench: b.Name, Threads: b.Threads, Events: len(tr)}
+		ob := OpsBench{Bench: b.Name, Events: len(tr)}
 		for _, name := range tools {
 			m := MeasureTool(tr, maker(name, b.Threads), cfg, base)
 			ob.Tools = append(ob.Tools, opsCell(name, len(tr), m))
@@ -131,14 +121,17 @@ func Ops(cfg Config, tools []string, benchs []sim.Benchmark) OpsReport {
 	return rep
 }
 
-// WriteOpsJSON writes the artifact as indented JSON.
-func WriteOpsJSON(w io.Writer, rep OpsReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows: each workload's event
+// count, and each (workload, tool) cell under the workload "bench/tool".
+func (rep OpsReport) ArtifactRows() []Row {
+	rows := fieldRows("ops", rep.Benchmarks, func(b OpsBench) string { return b.Bench })
+	for _, b := range rep.Benchmarks {
+		rows = append(rows, fieldRows("ops", b.Tools, func(c OpsTool) string { return b.Bench + "/" + c.Tool })...)
+	}
+	return rows
 }
 
-// FprintOps renders the artifact as a human-readable table: one row per
+// FprintOps renders the report as a human-readable table: one row per
 // (workload, tool) with ns/event and the fast-path share.
 func FprintOps(w io.Writer, rep OpsReport) {
 	fmt.Fprintf(w, "Per-detector analysis cost and operation mix (scale %g, best of %d)\n\n", rep.Scale, rep.Runs)

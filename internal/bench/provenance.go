@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,33 +11,29 @@ import (
 	"fasttrack/trace"
 )
 
-// ProvenanceSchema versions the BENCH_provenance.json artifact.
-const ProvenanceSchema = "fasttrack/bench-provenance/v1"
-
-// ProvenanceReport is the machine-readable flight-recorder artifact:
-// FastTrack's per-event throughput with provenance recording off and on,
-// across workload mixes chosen to stress each recorder cost (the sync
-// ring push, the last-access clock snapshot, the read-shared snapshot
-// table). The CI gate on Overhead is what keeps "explainable races" an
-// always-affordable opt-in rather than a debugging-build luxury.
+// ProvenanceReport is the flight-recorder table: FastTrack's per-event
+// throughput with provenance recording off and on, across workload
+// mixes chosen to stress each recorder cost (the sync ring push, the
+// last-access clock snapshot, the read-shared snapshot table). The gate
+// on Overhead is what keeps "explainable races" an always-affordable
+// opt-in rather than a debugging-build luxury.
 type ProvenanceReport struct {
-	Schema string          `json:"schema"`
-	CPUs   int             `json:"cpus"`
-	Runs   int             `json:"runs"`
-	Rows   []ProvenanceRow `json:"rows"`
+	CPUs int
+	Runs int
+	Rows []ProvenanceRow
 }
 
 // ProvenanceRow compares one workload's throughput with the recorder off
 // and on. Overhead is the per-event cost ratio (enabled time over
 // baseline time, ≥ 1 in the absence of noise).
 type ProvenanceRow struct {
-	Workload         string  `json:"workload"`
-	Events           int     `json:"events"`
-	BaseNs           int64   `json:"baseNs"`
-	BaseEventsPerSec float64 `json:"baseEventsPerSec"`
-	ProvNs           int64   `json:"provNs"`
-	ProvEventsPerSec float64 `json:"provEventsPerSec"`
-	Overhead         float64 `json:"overhead"`
+	Workload         string
+	Events           int
+	BaseNs           int64
+	BaseEventsPerSec float64
+	ProvNs           int64
+	ProvEventsPerSec float64
+	Overhead         float64
 }
 
 // provenanceWorkloads builds the mixes the comparison sweeps. Each is
@@ -105,9 +100,8 @@ func Provenance(cfg Config, totalEvents int) ProvenanceReport {
 		}
 	}
 	rep := ProvenanceReport{
-		Schema: ProvenanceSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Runs:   cfg.runs(),
+		CPUs: runtime.GOMAXPROCS(0),
+		Runs: cfg.runs(),
 	}
 	for _, w := range provenanceWorkloads(totalEvents) {
 		var base, prov time.Duration
@@ -134,11 +128,9 @@ func Provenance(cfg Config, totalEvents int) ProvenanceReport {
 	return rep
 }
 
-// WriteProvenanceJSON writes the artifact as indented JSON.
-func WriteProvenanceJSON(w io.Writer, rep ProvenanceReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload per mix.
+func (rep ProvenanceReport) ArtifactRows() []Row {
+	return fieldRows("provenance", rep.Rows, func(r ProvenanceRow) string { return r.Workload })
 }
 
 // FprintProvenance renders the recorder-overhead table.

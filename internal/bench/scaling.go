@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -102,21 +101,17 @@ func FprintScaling(w io.Writer, rows []ScalingRow) {
 	fmt.Fprintln(w, " the O(1)-vs-O(n) separation the epoch representation buys)")
 }
 
-// ShardScalingSchema versions the BENCH_scaling.json artifact.
-const ShardScalingSchema = "fasttrack/bench-scaling/v1"
-
-// ShardScalingReport is the machine-readable ingestion-throughput
-// artifact for the Monitor's lock-striped concurrent path: events/sec
-// through a live Monitor at 1/2/4/8 feeder goroutines, serial versus
-// sharded. CPUs records the parallelism available when the table was
-// produced — on a single-core host the sharded rows cannot beat the
-// serial ones, and consumers must interpret Speedup accordingly.
+// ShardScalingReport is the ingestion-throughput table for the
+// Monitor's lock-striped concurrent path: events/sec through a live
+// Monitor at 1/2/4/8 feeder goroutines, serial versus sharded. CPUs
+// records the parallelism available when the table was produced — on a
+// single-core host the sharded rows cannot beat the serial ones, and
+// consumers must interpret Speedup accordingly.
 type ShardScalingReport struct {
-	Schema    string            `json:"schema"`
-	CPUs      int               `json:"cpus"`
-	PerFeeder int               `json:"perFeeder"`
-	Runs      int               `json:"runs"`
-	Rows      []ShardScalingRow `json:"rows"`
+	CPUs      int
+	PerFeeder int
+	Runs      int
+	Rows      []ShardScalingRow
 }
 
 // ShardScalingRow is one (feeders, shards) cell: total events ingested,
@@ -124,12 +119,12 @@ type ShardScalingReport struct {
 // the throughput relative to the serial monitor under the same feeder
 // count (Speedup == 1 for the shards=1 rows themselves).
 type ShardScalingRow struct {
-	Feeders      int     `json:"feeders"`
-	Shards       int     `json:"shards"`
-	Events       int64   `json:"events"`
-	ElapsedNs    int64   `json:"elapsedNs"`
-	EventsPerSec float64 `json:"eventsPerSec"`
-	Speedup      float64 `json:"speedup"`
+	Feeders      int
+	Shards       int
+	Events       int64
+	ElapsedNs    int64
+	EventsPerSec float64
+	Speedup      float64
 }
 
 // shardScalingRun feeds perFeeder access events from each of feeders
@@ -189,7 +184,6 @@ func ShardScaling(cfg Config, feederCounts, shardCounts []int, perFeeder int) Sh
 		}
 	}
 	rep := ShardScalingReport{
-		Schema:    ShardScalingSchema,
 		CPUs:      runtime.GOMAXPROCS(0),
 		PerFeeder: perFeeder,
 		Runs:      cfg.runs(),
@@ -224,11 +218,11 @@ func ShardScaling(cfg Config, feederCounts, shardCounts []int, perFeeder int) Sh
 	return rep
 }
 
-// WriteShardScalingJSON writes the artifact as indented JSON.
-func WriteShardScalingJSON(w io.Writer, rep ShardScalingReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload
+// "<feeders>x<shards>" per cell.
+func (rep ShardScalingReport) ArtifactRows() []Row {
+	return fieldRows("shards", rep.Rows, func(r ShardScalingRow) string { return fmt.Sprintf("%dx%d", r.Feeders, r.Shards) },
+		"Feeders", "Shards")
 }
 
 // FprintShardScaling renders the sharded-ingestion throughput table.

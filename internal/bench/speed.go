@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -13,30 +12,26 @@ import (
 	"fasttrack/trace"
 )
 
-// SpeedSchema versions the BENCH_speed.json artifact.
-const SpeedSchema = "fasttrack/bench-speed/v1"
-
-// SpeedReport is the machine-readable raw-speed artifact: serial
-// per-event throughput of the current detector against the frozen
-// pre-refactor baseline (speed_baseline.go), measured in the same
-// process on the same event streams. The per-workload Speedup columns
-// and their geometric mean are therefore host-independent ratios; the
-// CI gate asserts GeomeanSpeedup >= 2.
+// SpeedReport is the raw-speed table: serial per-event throughput of
+// the current detector against the frozen pre-refactor baseline
+// (speed_baseline.go), measured in the same process on the same event
+// streams. The per-workload Speedup columns and their geometric mean
+// are therefore host-independent ratios; the gate asserts
+// GeomeanSpeedup >= 2 at full scale.
 type SpeedReport struct {
-	Schema         string     `json:"schema"`
-	CPUs           int        `json:"cpus"`
-	Runs           int        `json:"runs"`
-	Rows           []SpeedRow `json:"rows"`
-	GeomeanSpeedup float64    `json:"geomeanSpeedup"`
+	CPUs           int
+	Runs           int
+	Rows           []SpeedRow
+	GeomeanSpeedup float64
 }
 
 // SpeedRow is one workload's measurement, best-of-runs per side.
 type SpeedRow struct {
-	Workload           string  `json:"workload"`
-	Events             int     `json:"events"`
-	BaselineNsPerEvent float64 `json:"baselineNsPerEvent"`
-	NsPerEvent         float64 `json:"nsPerEvent"`
-	Speedup            float64 `json:"speedup"`
+	Workload           string
+	Events             int
+	BaselineNsPerEvent float64
+	NsPerEvent         float64
+	Speedup            float64
 }
 
 // speedWorkloads builds the event streams. Each models a regime of the
@@ -213,9 +208,8 @@ func speedTimeCurrent(evs []trace.Event) time.Duration {
 // ratio meaningless.
 func Speed(cfg Config) (SpeedReport, error) {
 	rep := SpeedReport{
-		Schema: SpeedSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Runs:   cfg.runs(),
+		CPUs: runtime.GOMAXPROCS(0),
+		Runs: cfg.runs(),
 	}
 	for _, w := range speedWorkloads(cfg.Scale) {
 		// Equivalence check (untimed).
@@ -257,11 +251,11 @@ func Speed(cfg Config) (SpeedReport, error) {
 	return rep, nil
 }
 
-// WriteSpeedJSON writes the artifact as indented JSON.
-func WriteSpeedJSON(w io.Writer, rep SpeedReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ArtifactRows flattens the table into rows, one workload per event
+// stream plus the workload "geomean" holding the geometric-mean speedup.
+func (rep SpeedReport) ArtifactRows() []Row {
+	rows := fieldRows("speed", rep.Rows, func(r SpeedRow) string { return r.Workload })
+	return append(rows, Row{Table: "speed", Workload: "geomean", Metric: "speedup", Value: rep.GeomeanSpeedup})
 }
 
 // FprintSpeed renders the raw-speed table.
